@@ -3,7 +3,7 @@
 
 A thin convenience wrapper over the experiment registry -- equivalent to::
 
-    python -m repro.experiments all --instructions N --out results/
+    repro all --instructions N --out results/
 
 but with a compact progress line per experiment and a closing summary of
 the headline numbers (Figures 2, 4 and 14).

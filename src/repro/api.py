@@ -8,9 +8,7 @@ Import everything from here::
 name in :data:`__all__` keeps its signature and semantics within a major
 version (see ``docs/API.md``).  Deep imports
 (``repro.experiments.harness`` and friends) continue to work but are
-implementation detail -- they may move between minor versions, and the
-legacy re-exports on the :mod:`repro.experiments` package now emit
-:class:`DeprecationWarning`.
+implementation detail -- they may move between minor versions.
 
 The surface covers everything needed to reproduce the paper end to end
 without a single deep import:
@@ -21,11 +19,9 @@ without a single deep import:
   component registries out-of-tree policies plug into
   (:func:`register_steering`, :func:`register_scheduler`,
   :func:`register_predictor`);
-* **workbench & execution** -- :class:`Workbench`,
-  :class:`ParallelWorkbench`, :class:`RunCache`, :class:`RunJob`,
-  :func:`execute_job`, :func:`execute_jobs`, :func:`job_key`,
-  :func:`prepare_workload`, :func:`build_policy`, :func:`run_seeded`,
-  :func:`average_figures`;
+* **workbench & execution** -- :class:`Workbench`, :class:`RunCache`,
+  :class:`RunJob`, :func:`execute_job`, :func:`job_key`,
+  :func:`prepare_workload`, :func:`run_seeded`, :func:`average_figures`;
 * **fault tolerance & checkpointing** -- :class:`ExecutionPolicy` (retry
   / timeout / fail-fast knobs), :class:`JobOutcome` and
   :class:`RunFailure` (failures as values), :func:`execute_outcomes`,
@@ -119,13 +115,7 @@ from repro.experiments.executor import (
     executor_names,
     make_executor,
 )
-from repro.experiments.harness import (
-    DEFAULT_INSTRUCTIONS,
-    POLICY_NAMES,
-    ParallelWorkbench,
-    Workbench,
-    build_policy,
-)
+from repro.experiments.harness import DEFAULT_INSTRUCTIONS, POLICY_NAMES, Workbench
 from repro.experiments.manifest import SweepManifest, default_manifest_dir
 from repro.experiments.outcomes import (
     ExecutionInterrupted,
@@ -141,7 +131,6 @@ from repro.experiments.parallel import (
     PreparedWorkload,
     RunJob,
     execute_job,
-    execute_jobs,
     execute_outcomes,
     prepare_workload,
     run_job_outcome,
@@ -335,16 +324,13 @@ __all__ = [
     "ExecutorUnavailable",
     "LocalPoolExecutor",
     "POLICY_NAMES",
-    "ParallelWorkbench",
     "PreparedWorkload",
     "RunCache",
     "RunJob",
     "Workbench",
     "average_figures",
-    "build_policy",
     "default_cache_dir",
     "execute_job",
-    "execute_jobs",
     "execute_outcomes",
     "executor_names",
     "job_key",

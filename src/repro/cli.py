@@ -2,7 +2,7 @@
 
 A thin front door over the experiment runner plus spec-file tooling::
 
-    repro figure14 --workers 8          # == python -m repro.experiments ...
+    repro figure14 --workers 8          # any figure (repro --list-figures)
     repro --spec specs/custom_sweep.json
     repro specs list                    # registered components + presets
     repro specs show figure14           # an experiment's spec as JSON
@@ -11,9 +11,9 @@ A thin front door over the experiment runner plus spec-file tooling::
     repro serve --port 8035 --workers 4 # the async job API (repro.service)
     repro worker 127.0.0.1:7070         # serve a distributed sweep (repro.distwork)
 
-``python -m repro`` forwards here, so all three spellings are
-equivalent.  Everything that is not a ``specs``, ``serve`` or ``worker``
-subcommand is handed to :func:`repro.experiments.runner.main` unchanged.
+``python -m repro`` forwards here, so both spellings are equivalent.
+Everything that is not a ``specs``, ``serve`` or ``worker`` subcommand
+is handed to :func:`repro.experiments.runner.main` unchanged.
 """
 
 from __future__ import annotations
@@ -360,6 +360,3 @@ def main(argv: list[str] | None = None) -> int:
 
     return runner_main(argv)
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

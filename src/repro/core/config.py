@@ -10,16 +10,14 @@ machines: ``clusters`` is a tuple of per-cluster :class:`ClusterConfig`
 entries which may differ in geometry (a fat 4-wide cluster next to thin
 2-wide ones), capability (``fp_ports=0`` builds an FP-less cluster) and
 execution latency (``latency_overrides`` per op class, e.g. a cluster
-whose multiplier is divider-slow).  The legacy homogeneous spelling
-(``num_clusters=`` + ``cluster=``) keeps working and produces an
-identical object, so every existing result stays bit-identical.
+whose multiplier is divider-slow).  A uniform machine is spelled
+``clusters=(cluster,) * n``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.frontend.fetch import FrontEndConfig
@@ -105,7 +103,7 @@ class ClusterConfig:
         return BASE_LATENCY[opclass]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MachineConfig:
     """A complete machine: front end, clustered core, memory.
 
@@ -117,9 +115,8 @@ class MachineConfig:
     """
 
     clusters: tuple[ClusterConfig, ...]
-    # Field defaults are declared even though ``__init__`` is hand-written:
-    # ``MachineSpec.from_config`` reads them via ``dataclasses.fields`` to
-    # decide which overrides a config actually carries.
+    # ``MachineSpec.from_config`` reads these defaults via
+    # ``dataclasses.fields`` to decide which overrides a config carries.
     rob_size: int = 256
     dispatch_width: int = 8
     commit_width: int = 8
@@ -129,72 +126,16 @@ class MachineConfig:
     # a finite value enables the limited-bandwidth analysis the paper
     # defers ("beyond the scope of this paper").
     forwarding_bandwidth: int | None = None
+    # None means the Table 1 default, filled in by ``__post_init__``.
     frontend: FrontEndConfig = None  # type: ignore[assignment]
     memory: MemoryConfig = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        clusters: tuple[ClusterConfig, ...] | list[ClusterConfig] | int | None = None,
-        cluster: ClusterConfig | None = None,
-        rob_size: int = 256,
-        dispatch_width: int = 8,
-        commit_width: int = 8,
-        forwarding_latency: int = 2,
-        forwarding_bandwidth: int | None = None,
-        frontend: FrontEndConfig | None = None,
-        memory: MemoryConfig | None = None,
-        *,
-        num_clusters: int | None = None,
-    ) -> None:
-        # Deprecation shim: the pre-heterogeneity spelling passed
-        # ``num_clusters`` (possibly positionally, as the first argument)
-        # plus a single shared ``cluster``.
-        if isinstance(clusters, int):
-            if num_clusters is not None:
-                raise TypeError("pass num_clusters positionally or by keyword, not both")
-            num_clusters = clusters
-            clusters = None
-        if cluster is not None and num_clusters is None and clusters is not None:
-            # Legacy ``dataclasses.replace(config, cluster=...)``: replace()
-            # forwards every field (including ``clusters``) plus the extra
-            # ``cluster`` kwarg.  Interpret it as a uniform re-spelling.
-            warnings.warn(
-                "MachineConfig(cluster=) is deprecated; "
-                "pass clusters=(cluster,) * num_clusters instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            clusters = (cluster,) * len(tuple(clusters))
-            cluster = None
-        if num_clusters is not None or cluster is not None:
-            if clusters is not None:
-                raise TypeError(
-                    "pass either clusters=(...) or the legacy "
-                    "num_clusters=/cluster= pair, not both"
-                )
-            if num_clusters is None or cluster is None:
-                raise TypeError("legacy spelling needs both num_clusters and cluster")
-            warnings.warn(
-                "MachineConfig(num_clusters=, cluster=) is deprecated; "
-                "pass clusters=(cluster,) * num_clusters instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            clusters = (cluster,) * num_clusters
-        if clusters is None:
-            raise TypeError("MachineConfig needs clusters=(...)")
-        object.__setattr__(self, "clusters", tuple(clusters))
-        object.__setattr__(self, "rob_size", rob_size)
-        object.__setattr__(self, "dispatch_width", dispatch_width)
-        object.__setattr__(self, "commit_width", commit_width)
-        object.__setattr__(self, "forwarding_latency", forwarding_latency)
-        object.__setattr__(self, "forwarding_bandwidth", forwarding_bandwidth)
-        object.__setattr__(
-            self, "frontend", frontend if frontend is not None else FrontEndConfig()
-        )
-        object.__setattr__(
-            self, "memory", memory if memory is not None else MemoryConfig()
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clusters", tuple(self.clusters))
+        if self.frontend is None:
+            object.__setattr__(self, "frontend", FrontEndConfig())
+        if self.memory is None:
+            object.__setattr__(self, "memory", MemoryConfig())
         self._validate()
 
     def _validate(self) -> None:

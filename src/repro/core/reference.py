@@ -22,8 +22,9 @@ observable behaviour): readiness-aware steering queries the pressure of
 every cluster on every dispatch attempt, which made the un-memoized scan
 quadratic in dispatch width.
 
-Select this path from the CLI with ``--reference-sim`` or per job with
-``RunJob(sim="reference")``.
+Select this path per job with ``RunJob(sim="reference")`` or per
+workbench with ``Workbench(sim="reference")``; it is a test oracle, not
+a production backend.
 """
 
 from __future__ import annotations

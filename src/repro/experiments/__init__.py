@@ -8,16 +8,11 @@ Two registries drive the CLI and the stable facade:
   :class:`~repro.experiments.parallel.RunJob`\\ s the figure needs (what
   ``prefetch`` fans out, and what the ``--metrics`` run report walks).
 
-Deep imports of harness/cache/parallel machinery through this package
-(``from repro.experiments import Workbench`` etc.) are **deprecated** in
-favour of :mod:`repro.api`; they still work, via a module ``__getattr__``
-that warns once per name.  The defining modules
-(:mod:`repro.experiments.harness`, :mod:`repro.experiments.cache`,
-:mod:`repro.experiments.parallel`, :mod:`repro.experiments.aggregate`)
-remain stable, warning-free import targets for internal code.
+The harness, cache and execution machinery lives in its defining
+modules (:mod:`repro.experiments.harness`, :mod:`repro.experiments.cache`,
+:mod:`repro.experiments.parallel`, :mod:`repro.experiments.aggregate`);
+:mod:`repro.api` is the stable facade over them.
 """
-
-import warnings
 
 from repro.experiments.fig02 import plan_figure2, run_figure2, spec_figure2
 from repro.experiments.fig04 import plan_figure4, run_figure4, spec_figure4
@@ -93,44 +88,6 @@ PLANS = {
     "loc_priority": plan_loc_priority_study,
     "consumer_stats": plan_consumer_stats,
 }
-
-# Names that used to be re-exported eagerly here and now live behind the
-# stable facade.  Maps the public name to its defining module; resolved
-# lazily with a DeprecationWarning so old deep imports keep working.
-_DEPRECATED = {
-    "DEFAULT_INSTRUCTIONS": "repro.experiments.harness",
-    "POLICY_NAMES": "repro.experiments.harness",
-    "ParallelWorkbench": "repro.experiments.harness",
-    "PreparedWorkload": "repro.experiments.parallel",
-    "Workbench": "repro.experiments.harness",
-    "build_policy": "repro.experiments.harness",
-    "RunCache": "repro.experiments.cache",
-    "RunJob": "repro.experiments.parallel",
-    "default_cache_dir": "repro.experiments.cache",
-    "execute_job": "repro.experiments.parallel",
-    "execute_jobs": "repro.experiments.parallel",
-    "job_key": "repro.experiments.cache",
-    "average_figures": "repro.experiments.aggregate",
-    "run_seeded": "repro.experiments.aggregate",
-}
-
-
-def __getattr__(name: str):
-    module = _DEPRECATED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.experiments' is deprecated; "
-        f"import it from 'repro.api' (stable facade) or {module!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # warn once per name, then resolve attribute-fast
-    return value
-
 
 __all__ = [
     "EXPERIMENTS",

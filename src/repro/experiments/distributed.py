@@ -150,13 +150,22 @@ class DistributedExecutor:
             )
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
         unsettled = set(index_for)
-        while unsettled:
+
+        def stop_if_asked() -> None:
+            # Polled between jobs, as the local pool does: one pump may
+            # return every remaining settle, so checking only between
+            # pumps could let a stop request go unnoticed.  Undelivered
+            # results are already in the shared cache (workers store
+            # before they report).
             if should_stop is not None and should_stop():
                 transport.cancel_pending()
                 raise ExecutionInterrupted(
                     f"execution stopped with {len(unsettled)} "
                     "distributed job(s) unsettled"
                 )
+
+        while unsettled:
+            stop_if_asked()
             settled = transport.pump()
             if not settled:
                 time.sleep(self.poll)
@@ -174,6 +183,8 @@ class DistributedExecutor:
                     transport.cancel_pending()
                     assert outcome.failure is not None
                     raise RunFailureError(outcome.job, outcome.failure)
+                if unsettled:
+                    stop_if_asked()
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 

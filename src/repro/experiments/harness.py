@@ -35,7 +35,6 @@ Policy names (matching Figure 14's bar labels):
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 from repro.core.config import MachineConfig, clustered_machine, monolithic_machine
@@ -53,21 +52,18 @@ from repro.experiments.parallel import (
     PreparedWorkload,
     RunJob,
     dedupe_jobs,
-    default_workers,
     prepare_workload,
     run_job_outcome,
 )
-from repro.specs.policy import PolicySpec, canonical_policy, policy_names, resolve_policy
+from repro.specs.policy import PolicySpec, canonical_policy, policy_names
 from repro.workloads.common import KernelSpec
 from repro.workloads.suite import SUITE
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "POLICY_NAMES",
-    "ParallelWorkbench",
     "PreparedWorkload",
     "Workbench",
-    "build_policy",
 ]
 
 # Derived from the preset registry (repro.specs.policy.PRESETS); kept as a
@@ -75,25 +71,6 @@ __all__ = [
 POLICY_NAMES = policy_names()
 
 DEFAULT_INSTRUCTIONS = 12_000
-
-
-def build_policy(name: str):
-    """Construct fresh (steering, scheduler, needs_predictors) for ``name``.
-
-    .. deprecated::
-        The policy stacks are spec presets now; use
-        ``repro.specs.resolve_policy(name).build()`` (or better, pass the
-        name / a :class:`~repro.specs.PolicySpec` straight to the
-        workbench and job layer).  This shim builds the exact same
-        objects from the preset table.
-    """
-    warnings.warn(
-        "build_policy() is deprecated; use repro.specs.resolve_policy(name)"
-        ".build() or pass the policy name/spec directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_policy(name).build()
 
 
 class Workbench:
@@ -112,12 +89,11 @@ class Workbench:
     around trace prep, warm-up, measurement and cache traffic.
 
     Backend selection: ``sim`` picks the timing loop ("event",
-    "reference", or "batched"); with the default ``batch="auto"``,
-    event-mode jobs whose policy the batched backend supports are
-    promoted to ``sim="batched"`` at :meth:`job` construction, and
-    :meth:`prefetch` runs same-trace groups of them through one shared
-    decode/precompute/warm-up pass (:mod:`repro.experiments.batch`).
-    ``batch="off"`` restores the pure per-job event path.
+    "reference", or "batched"); event-mode jobs whose policy the batched
+    backend supports are promoted to ``sim="batched"`` at :meth:`job`
+    construction, and :meth:`prefetch` runs same-trace groups of them
+    through one shared decode/precompute/warm-up pass
+    (:mod:`repro.experiments.batch`).
 
     Execution backend: ``executor`` names the
     :class:`~repro.experiments.executor.Executor` :meth:`prefetch` fans
@@ -137,7 +113,6 @@ class Workbench:
         workers: int = 0,
         cache: RunCache | None = None,
         sim: str = "event",
-        batch: str = "auto",
         metrics: bool = False,
         tracer=None,
         execution: ExecutionPolicy | None = None,
@@ -150,8 +125,6 @@ class Workbench:
             raise ValueError(
                 f"unknown simulator {sim!r}; want 'event', 'reference' or 'batched'"
             )
-        if batch not in ("auto", "off"):
-            raise ValueError(f"unknown batch mode {batch!r}; want 'auto' or 'off'")
         if isinstance(executor, str) and executor not in executor_names():
             raise ValueError(
                 f"unknown executor {executor!r}; "
@@ -164,7 +137,6 @@ class Workbench:
         self.workers = workers
         self.cache = cache
         self.sim = sim
-        self.batch = batch
         self.metrics = metrics
         self.tracer = tracer
         self.execution = execution if execution is not None else ExecutionPolicy()
@@ -176,9 +148,11 @@ class Workbench:
             cache.tracer = tracer
         self.simulations_run = 0
         self._prepared: dict[str, PreparedWorkload] = {}
-        self._run_cache: dict[tuple, SimulationResult] = {}
-        self._job_for_key: dict[tuple, RunJob] = {}
-        self._failures: dict[tuple, JobOutcome] = {}
+        # Keyed by the full job: RunJob is frozen and its fields are
+        # exactly the inputs that determine a run's output, so memory
+        # identity coincides with the on-disk cache's hash domain.
+        self._run_cache: dict[RunJob, SimulationResult] = {}
+        self._failures: dict[RunJob, JobOutcome] = {}
 
     # ------------------------------------------------------------------
     def prepare(self, spec: KernelSpec) -> PreparedWorkload:
@@ -210,14 +184,12 @@ class Workbench:
         collapses to the preset's name) so equal stacks produce equal --
         and therefore memory-cache-sharing -- jobs.
 
-        With ``batch="auto"`` (the default), an ``"event"`` job whose
-        policy the batched backend supports is promoted to
-        ``sim="batched"`` here, at construction -- so a figure's plan,
-        its serial :meth:`run` calls and its parallel :meth:`prefetch`
-        all agree on one job identity (and one cache key) regardless of
-        how the job eventually executes.  ``batch="off"`` (the CLI's
-        ``--no-batch``), ``metrics=True`` and unsupported policies keep
-        the event path.
+        An ``"event"`` job whose policy the batched backend supports is
+        promoted to ``sim="batched"`` here, at construction -- so a
+        figure's plan, its serial :meth:`run` calls and its parallel
+        :meth:`prefetch` all agree on one job identity (and one cache
+        key) regardless of how the job eventually executes.
+        ``metrics=True`` and unsupported policies keep the event path.
         """
         policy = canonical_policy(policy)
         return RunJob(
@@ -238,8 +210,8 @@ class Workbench:
     ) -> str:
         """The backend a job running ``policy`` on this workbench uses.
 
-        This is the single place the ``batch="auto"`` promotion decision
-        lives: :meth:`job` and spec-built plans
+        This is the single place the batched promotion decision lives:
+        :meth:`job` and spec-built plans
         (:meth:`repro.specs.ExperimentSpec.jobs`) both route through it,
         so every way of constructing "the same run" lands on one job
         identity -- and therefore one cache key.  Pass a *canonical*
@@ -250,26 +222,12 @@ class Workbench:
         """
         if (
             self.sim == "event"
-            and self.batch == "auto"
             and not self.metrics
             and fast_policy(policy) is not None
             and (config is None or batchable_config(config))
         ):
             return "batched"
         return self.sim
-
-    @staticmethod
-    def _memory_key(job: RunJob) -> RunJob:
-        # The full job is the key: RunJob is a frozen dataclass whose
-        # fields are exactly the inputs that determine a run's output, so
-        # memory-cache identity coincides with the on-disk cache's hash
-        # domain.  Keying on a field subset (as this once did, omitting
-        # instructions/seed/loc_mode) is a collision bug for any workbench
-        # that outlives one configuration -- the job service's long-lived
-        # shared bench serves specs with per-spec instruction counts and
-        # seeds, and must never satisfy one spec's lookup with another's
-        # result.
-        return job
 
     def run(
         self,
@@ -308,18 +266,16 @@ class Workbench:
         accepted.  With ``fail_fast`` the failure raises instead.
         """
         job = self.job(spec, config, policy, collect_ilp, warm)
-        key = self._memory_key(job)
-        self._job_for_key.setdefault(key, job)
-        cached = self._run_cache.get(key)
+        cached = self._run_cache.get(job)
         if cached is not None:
             return JobOutcome(job=job, result=cached, attempts=0, source="memory")
-        failed = self._failures.get(key)
+        failed = self._failures.get(job)
         if failed is not None:
             return failed
         if self.cache is not None:
             loaded = self.cache.load(job)
             if loaded is not None:
-                self._run_cache[key] = loaded
+                self._run_cache[job] = loaded
                 return JobOutcome(job=job, result=loaded, attempts=0, source="cache")
         out = run_job_outcome(
             job,
@@ -344,16 +300,16 @@ class Workbench:
         (The local path settles everything as ``source="run"``, so its
         accounting is unchanged.)
         """
-        key = self._memory_key(outcome.job)
+        job = outcome.job
         if outcome.ok:
             if outcome.source == "run":
                 self.simulations_run += 1
                 if self.cache is not None:
-                    self.cache.store(outcome.job, outcome.result)
-            self._run_cache[key] = outcome.result
-            self._failures.pop(key, None)
+                    self.cache.store(job, outcome.result)
+            self._run_cache[job] = outcome.result
+            self._failures.pop(job, None)
         else:
-            self._failures[key] = outcome
+            self._failures[job] = outcome
 
     # ------------------------------------------------------------------
     def prefetch(self, jobs: Iterable[RunJob], on_outcome=None, should_stop=None) -> int:
@@ -382,14 +338,12 @@ class Workbench:
         """
         pending: list[RunJob] = []
         for job in dedupe_jobs(jobs):
-            key = self._memory_key(job)
-            self._job_for_key.setdefault(key, job)
-            if key in self._run_cache:
+            if job in self._run_cache:
                 continue
             if self.cache is not None:
                 loaded = self.cache.load(job)
                 if loaded is not None:
-                    self._run_cache[key] = loaded
+                    self._run_cache[job] = loaded
                     continue
             pending.append(job)
         if not pending:
@@ -443,11 +397,11 @@ class Workbench:
     # ------------------------------------------------------------------
     def result_for(self, job: RunJob) -> SimulationResult | None:
         """The already-materialized result for ``job``, if any (no run)."""
-        return self._run_cache.get(self._memory_key(job))
+        return self._run_cache.get(job)
 
     def failure_for(self, job: RunJob) -> JobOutcome | None:
         """The recorded failed outcome for ``job``, if any (no run)."""
-        return self._failures.get(self._memory_key(job))
+        return self._failures.get(job)
 
     def failed_outcomes(self) -> list[JobOutcome]:
         """Every failed outcome this workbench has recorded, in order."""
@@ -459,12 +413,7 @@ class Workbench:
         The run-report builder walks this to aggregate a whole experiment
         invocation without re-running anything.
         """
-        pairs = []
-        for key, result in self._run_cache.items():
-            job = self._job_for_key.get(key)
-            if job is not None:
-                pairs.append((job, result))
-        return pairs
+        return list(self._run_cache.items())
 
     # ------------------------------------------------------------------
     def monolithic_baseline(
@@ -476,12 +425,3 @@ class Workbench:
     def clustered(self, num_clusters: int, forwarding_latency: int = 2) -> MachineConfig:
         """Convenience passthrough."""
         return clustered_machine(num_clusters, forwarding_latency=forwarding_latency)
-
-
-class ParallelWorkbench(Workbench):
-    """A :class:`Workbench` that defaults to one worker per CPU core."""
-
-    def __init__(self, *args, workers: int | None = None, **kwargs):
-        if workers is None:
-            workers = default_workers()
-        super().__init__(*args, workers=workers, **kwargs)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -115,11 +114,6 @@ class RunJob:
     # cached artifact differs (it carries the payload), so the cache keys
     # over this field too (only when True, to keep old hashes valid).
     metrics: bool = False
-
-
-def default_workers() -> int:
-    """Worker count when the caller does not specify one."""
-    return os.cpu_count() or 1
 
 
 def prepare_workload(kernel: str, instructions: int, seed: int) -> PreparedWorkload:
@@ -231,20 +225,6 @@ def execute_job(
     if recorder is not None:
         result.telemetry = recorder.finalize(result)
     return result
-
-
-def execute_job_traced(job: RunJob) -> tuple[SimulationResult, list[tuple]]:
-    """Pool-worker entry point: run ``job`` and ship the spans home.
-
-    A worker process cannot share the parent's :class:`Tracer`, so it
-    times its stages locally and returns the exported span tuples for the
-    parent to :meth:`~repro.telemetry.tracing.Tracer.merge`.
-    """
-    from repro.telemetry.tracing import Tracer
-
-    tracer = Tracer()
-    result = execute_job(job, tracer=tracer)
-    return result, tracer.export()
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +390,10 @@ def execute_outcomes(
 ) -> list[JobOutcome]:
     """Execute ``jobs`` fault-tolerantly; one typed outcome per job, in order.
 
-    The resilient replacement for :func:`execute_jobs`: failures become
-    :class:`~repro.experiments.outcomes.JobOutcome`\\ s instead of
-    killing the sweep (unless ``policy.fail_fast``, which raises
-    :class:`~repro.experiments.outcomes.RunFailureError` on the first
-    final failure).  ``on_outcome`` fires as each job settles -- the
+    Failures become :class:`~repro.experiments.outcomes.JobOutcome`\\ s
+    instead of killing the sweep (unless ``policy.fail_fast``, which
+    raises :class:`~repro.experiments.outcomes.RunFailureError` on the
+    first final failure).  ``on_outcome`` fires as each job settles -- the
     workbench uses it to flush finished results to the persistent cache
     immediately, so an interrupt loses nothing.  On
     ``KeyboardInterrupt`` the pool's children are killed (no orphans)
@@ -447,22 +426,6 @@ def execute_outcomes(
     )
 
 
-def execute_jobs(
-    jobs: Sequence[RunJob], workers: int, tracer: "Tracer | None" = None
-) -> list[SimulationResult]:
-    """Execute ``jobs`` and return results in job order (legacy strict form).
-
-    A thin wrapper over :func:`execute_outcomes` with no retries and
-    fail-fast semantics: the first failure raises
-    :class:`~repro.experiments.outcomes.RunFailureError`.  Kept for
-    callers that predate typed outcomes; new code should consume
-    outcomes directly.
-    """
-    policy = ExecutionPolicy(max_retries=0, fail_fast=True)
-    outcomes = execute_outcomes(jobs, workers, tracer=tracer, policy=policy)
-    return [outcome.unwrap() for outcome in outcomes]
-
-
 def dedupe_jobs(jobs: Iterable[RunJob]) -> list[RunJob]:
     """Drop duplicate jobs, preserving first-seen order."""
     seen: set[RunJob] = set()
@@ -472,30 +435,3 @@ def dedupe_jobs(jobs: Iterable[RunJob]) -> list[RunJob]:
             seen.add(job)
             unique.append(job)
     return unique
-
-
-# The pool scheduler moved to repro.experiments.executor when the
-# Executor protocol landed.  Deep reaches into the old internals keep
-# working, via a module __getattr__ that warns once per name.
-_MOVED = {
-    "_JobState": "repro.experiments.executor",
-    "_PoolScheduler": "repro.experiments.executor",
-}
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"{name!r} moved from 'repro.experiments.parallel' to {module!r}; "
-        "prefer the Executor protocol (repro.api.LocalPoolExecutor) over "
-        "scheduler internals",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # warn once per name, then resolve attribute-fast
-    return value

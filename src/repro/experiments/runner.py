@@ -2,17 +2,18 @@
 
 Regenerate any reproduced figure from a shell::
 
-    python -m repro.experiments figure4
-    python -m repro.experiments figure14 --instructions 20000 --out results/
-    python -m repro.experiments all --benchmarks vpr gzip
-    python -m repro.experiments all --seeds 3 --workers 8
-    python -m repro.experiments --list-figures
-    python -m repro.experiments --spec specs/custom_sweep.json
+    repro figure4
+    repro figure14 --instructions 20000 --out results/
+    repro all --benchmarks vpr gzip
+    repro all --seeds 3 --workers 8
+    repro --list-figures
+    repro --spec specs/custom_sweep.json
 
+This module is the default subcommand of the ``repro`` console command
+(:mod:`repro.cli`), which also adds ``repro specs|serve|worker``.
 Experiment names are the keys of :data:`repro.experiments.EXPERIMENTS`;
 ``--spec`` runs any :class:`~repro.specs.ExperimentSpec` JSON file
-through the same machinery (the ``repro`` console command adds
-``repro specs list|show|validate`` for working with spec files).
+through the same machinery.
 
 Simulations fan out over ``--workers`` processes and persist in an
 on-disk result cache (``~/.cache/repro`` by default; override with
@@ -56,7 +57,7 @@ from repro.workloads.suite import get_kernel, suite_names
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
+        prog="repro",
         description="Regenerate the paper's figures and in-text claims.",
     )
     parser.add_argument(
@@ -165,22 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not read or write per-spec sweep manifests (an "
         "interrupted --spec sweep then loses the 'resumed N' accounting; "
         "finished results still come back from the run cache)",
-    )
-    parser.add_argument(
-        "--reference-sim",
-        action="store_true",
-        help="run every simulation on the pre-optimization reference loop "
-        "(repro.core.reference) instead of the event-driven simulator; "
-        "results are bit-identical, only slower -- an escape hatch for "
-        "cross-checking the optimized hot path",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batched sweep backend: run every simulation "
-        "through the per-job event path instead of sharing one trace "
-        "decode + predictor-training pass per kernel (the batched "
-        "backend is the default for supported policy stacks)",
     )
     parser.add_argument(
         "--metrics",
@@ -292,15 +277,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     cache = None if args.no_cache else RunCache(args.cache_dir, tracer=tracer)
-    batch_mode = "off" if args.no_batch else "auto"
     bench = Workbench(
         instructions=args.instructions,
         seed=args.seed,
         benchmarks=benchmarks,
         workers=args.workers,
         cache=cache,
-        sim="reference" if args.reference_sim else "event",
-        batch=batch_mode,
         metrics=args.metrics,
         tracer=tracer,
         execution=execution,
@@ -314,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run_tasks(
             args, tasks, bench, cache, tracer, benchmarks, execution,
-            batch_mode, json_stream, status_stream, streamed, report_dir,
+            json_stream, status_stream, streamed, report_dir,
         )
     finally:
         # Stops distributed workers cleanly; a no-op for the local pool.
@@ -329,7 +311,6 @@ def _run_tasks(
     tracer,
     benchmarks,
     execution,
-    batch_mode,
     json_stream,
     status_stream,
     streamed,
@@ -351,6 +332,9 @@ def _run_tasks(
             def experiment(b, _spec=spec, _m=manifest):
                 return run_spec(b, _spec, manifest=_m)
         if args.seeds > 1:
+            # Every seed's workbench shares the main bench's executor, so
+            # a distributed sweep keeps one coordinator (closed once by
+            # main) instead of silently running the seeds locally.
             figure = run_seeded(
                 experiment,
                 seeds=range(args.seed, args.seed + args.seeds),
@@ -358,8 +342,8 @@ def _run_tasks(
                 benchmarks=benchmarks,
                 workers=args.workers,
                 cache=cache,
-                batch=batch_mode,
                 execution=execution,
+                executor=bench.resolve_executor(),
             )
             # The per-seed workbenches are internal to run_seeded; with a
             # cache every executed simulation is stored exactly once.
@@ -459,7 +443,3 @@ def _run_tasks(
     if json_stream:
         print(json.dumps(streamed, indent=2))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -184,7 +184,6 @@ class ReproServer:
         instructions: int = DEFAULT_INSTRUCTIONS,
         seed: int = 0,
         loc_mode: str = "probabilistic",
-        batch: str = "auto",
         quota: float | None = None,
         quota_refill: float = 0.0,
         execution: ExecutionPolicy | None = None,
@@ -245,7 +244,6 @@ class ReproServer:
             loc_mode=loc_mode,
             workers=workers,
             cache=self.cache,
-            batch=batch,
             tracer=tracer,
             execution=execution if execution is not None else ExecutionPolicy(),
             executor=bench_executor,

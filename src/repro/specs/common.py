@@ -27,8 +27,8 @@ SCALAR_TYPES = (str, int, float, bool, type(None))
 class SpecError(ValueError):
     """A malformed, unknown or inconsistent spec.
 
-    Subclasses ``ValueError`` so legacy callers catching ``ValueError``
-    (e.g. around the old ``build_policy``) keep working.
+    Subclasses ``ValueError`` so callers that catch ``ValueError`` for
+    bad input also catch spec errors.
     """
 
 

@@ -247,7 +247,7 @@ class ExperimentSpec:
         :meth:`Workbench.sim_for`, exactly as :meth:`Workbench.job` does
         -- a spec-built plan and a hand-built job for the same run must
         agree on one job identity (and one cache key), including the
-        ``batch="auto"`` promotion to the batched backend.
+        promotion to the batched backend.
         """
         from repro.experiments.parallel import RunJob
         from repro.specs.policy import canonical_policy

@@ -1,7 +1,6 @@
 """Serializable policy stacks: steering + scheduler + predictor specs.
 
-A :class:`PolicySpec` is the declarative form of what the old
-``build_policy(name)`` constructed by hand: a steering policy, a
+A :class:`PolicySpec` declares a policy stack: a steering policy, a
 per-cluster scheduler, and (when either consumes criticality) a
 predictor suite.  The paper's five stacks are canonical presets in
 :data:`PRESETS`; any other composition -- e.g. dependence steering with
@@ -170,8 +169,7 @@ class PolicySpec:
         return "+".join(parts)
 
     def build(self):
-        """Fresh ``(steering, scheduler, needs_predictors)`` -- the old
-        ``build_policy`` contract."""
+        """Fresh ``(steering, scheduler, needs_predictors)``."""
         return self.steering.build(), self.scheduler.build(), self.needs_predictors
 
     def build_predictors(self, loc_mode: str, seed: int):
@@ -234,8 +232,7 @@ def _preset(
 
 
 # The paper's five policy stacks (Figure 14's bar labels) plus the
-# readiness-aware variant exercised by the differential suite.  Each
-# preset builds exactly what the old ``build_policy`` built.
+# readiness-aware variant exercised by the differential suite.
 PRESETS: dict[str, PolicySpec] = {
     "dependence": _preset("dependence", "dependence", {}, "oldest", predictors=False),
     "focused": _preset("focused", "criticality", {"preference": "binary"}, "critical"),

@@ -14,8 +14,8 @@ grid points.  These tests attack that promise directly:
   precompute, canonical warm suite and frozen-priority cache are
   read-only to measurement;
 * the wiring seams: promotion in :meth:`Workbench.job` / spec-built
-  plans, the ``batch="off"`` opt-out, rejection of unsupported jobs, and
-  the grouping bypass under chaos injection.
+  plans, rejection of unsupported jobs, and the grouping bypass under
+  chaos injection.
 """
 
 from __future__ import annotations
@@ -257,13 +257,6 @@ def test_workbench_promotes_eligible_jobs():
     assert bench.job(spec, _machine(1), "dependence").sim == "batched"
 
 
-def test_workbench_batch_off_keeps_event():
-    bench = Workbench(
-        instructions=INSTRUCTIONS, benchmarks=[get_kernel("gcc")], batch="off"
-    )
-    assert bench.job(get_kernel("gcc"), _machine(4), "l").sim == "event"
-
-
 def test_workbench_reference_sim_never_promoted():
     bench = Workbench(
         instructions=INSTRUCTIONS, benchmarks=[get_kernel("gcc")], sim="reference"
@@ -276,13 +269,6 @@ def test_workbench_metrics_never_promoted():
         instructions=INSTRUCTIONS, benchmarks=[get_kernel("gcc")], metrics=True
     )
     assert bench.job(get_kernel("gcc"), _machine(4), "l").sim == "event"
-
-
-def test_workbench_rejects_bad_batch_value():
-    with pytest.raises(ValueError):
-        Workbench(
-            instructions=INSTRUCTIONS, benchmarks=[get_kernel("gcc")], batch="maybe"
-        )
 
 
 def test_promoted_key_differs_from_event_key():

@@ -85,13 +85,14 @@ class TestClusterConfig:
     def test_rob_must_cover_windows(self):
         with pytest.raises(ValueError):
             MachineConfig(
-                num_clusters=1,
-                cluster=ClusterConfig(
-                    issue_width=8,
-                    int_ports=8,
-                    fp_ports=4,
-                    mem_ports=4,
-                    window_size=512,
+                clusters=(
+                    ClusterConfig(
+                        issue_width=8,
+                        int_ports=8,
+                        fp_ports=4,
+                        mem_ports=4,
+                        window_size=512,
+                    ),
                 ),
                 rob_size=256,
             )

@@ -83,9 +83,8 @@ def _machine(clusters: int, forwarding_latency: int = 2):
 def _stress(clusters: int, forwarding_latency: int = 4, window: int = 4):
     """Tiny windows + slow forwarding: maximal stalling and idle skipping."""
     base = clustered_machine(clusters, forwarding_latency=forwarding_latency)
-    return dataclasses.replace(
-        base, cluster=dataclasses.replace(base.cluster, window_size=window)
-    )
+    narrow = dataclasses.replace(base.cluster, window_size=window)
+    return dataclasses.replace(base, clusters=(narrow,) * clusters)
 
 
 @pytest.fixture(scope="module")
@@ -384,9 +383,8 @@ def test_hypothesis_traces_bit_identical(
         config = monolithic_machine()
     else:
         base = clustered_machine(clusters, forwarding_latency=forwarding_latency)
-        config = dataclasses.replace(
-            base, cluster=dataclasses.replace(base.cluster, window_size=window)
-        )
+        narrow = dataclasses.replace(base.cluster, window_size=window)
+        config = dataclasses.replace(base, clusters=(narrow,) * clusters)
     event, reference = run_both(prepared, config, policy)
     context = (
         f"{kernel} seed={seed} n={instructions} {policy} {clusters}cl "

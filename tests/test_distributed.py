@@ -759,6 +759,90 @@ class TestManifestResume:
         assert bench2.exec_stats.executed == 0
 
 
+class _OnePumpTransport:
+    """A coordinator stub whose first ``pump()`` settles every task."""
+
+    def __init__(self):
+        self.tasks: list[dict] = []
+        self.cancelled = False
+
+    def publish(self, task):
+        self.tasks.append(task)
+
+    def pump(self):
+        failure = RunFailure(
+            kind="error", error_type="X", message="m", attempts=1, elapsed=0.0
+        )
+        settled = [
+            (
+                task["id"],
+                outcome_to_dict(
+                    JobOutcome(job=job_from_dict(task["job"]), failure=failure, attempts=1)
+                ),
+            )
+            for task in self.tasks
+        ]
+        self.tasks = []
+        return settled
+
+    def cancel_pending(self):
+        self.cancelled = True
+        return 0
+
+    def close(self):
+        pass
+
+
+class TestStopPolling:
+    def test_stop_is_polled_between_outcomes_of_one_pump(self):
+        jobs = make_jobs(make_bench())
+        executor = DistributedExecutor("unused-spool")
+        executor._transport = transport = _OnePumpTransport()
+        delivered = []
+        with pytest.raises(ExecutionInterrupted, match="distributed"):
+            executor.execute(
+                jobs,
+                on_outcome=delivered.append,
+                should_stop=lambda: len(delivered) >= 2,
+            )
+        assert len(delivered) == 2
+        assert transport.cancelled
+
+
+class TestSeededCli:
+    def test_seeds_run_on_the_distributed_workers(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = ExperimentSpec(
+            name="dist-seeds",
+            sweeps=(SweepSpec((MachineSpec(2),), ("l", "s")),),
+            workloads=[{"kernel": k} for k in KERNELS],
+            instructions=INSTRUCTIONS,
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        argv = ["--spec", str(spec_path), "--seeds", "2", "--no-cache"]
+
+        def table(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if not line.startswith("[")]
+
+        want = table(argv)
+        spool = str(tmp_path / "spool")
+        threads, counts, stop = start_worker_threads(spool, 2)
+        try:
+            got = table(argv + ["--executor", "distributed", "--workers-endpoint", spool])
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+        # Every job of both seeds ran on a worker, none in-process.
+        assert sum(counts) >= 2 * len(spec.jobs(make_bench()))
+
+
 # ---------------------------------------------------------------------------
 # Property: executed-job set is shard-count and join-order independent
 # ---------------------------------------------------------------------------

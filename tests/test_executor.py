@@ -1,10 +1,9 @@
 """The :class:`~repro.experiments.executor.Executor` protocol layer.
 
 The refactor contract: execution backends are interchangeable behind one
-protocol, ``LocalPoolExecutor`` is the old pool logic bit-for-bit, the
-registry (:func:`make_executor`) validates names and endpoints up front,
-and the moved ``parallel`` internals keep importing -- with a
-:class:`DeprecationWarning` -- from their old home.
+protocol, ``LocalPoolExecutor`` is the old pool logic bit-for-bit, and
+the registry (:func:`make_executor`) validates names and endpoints up
+front.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import threading
 import pytest
 
 from repro.core.serialize import results_identical
-from repro.experiments import parallel
 from repro.experiments.distributed import DistributedExecutor
 from repro.experiments.executor import (
     EXECUTOR_NAMES,
@@ -124,23 +122,6 @@ class TestLocalPoolExecutor:
     def test_workbench_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="bogus"):
             make_bench(executor="bogus")
-
-
-class TestDeprecationShim:
-    @pytest.mark.parametrize("name", ["_PoolScheduler", "_JobState"])
-    def test_moved_internals_warn_and_resolve(self, name):
-        from repro.experiments import executor as executor_module
-
-        parallel.__dict__.pop(name, None)  # the shim caches after one warn
-        with pytest.warns(DeprecationWarning, match=name):
-            moved = getattr(parallel, name)
-        assert moved is getattr(executor_module, name)
-        # The cached second lookup is warning-free.
-        assert getattr(parallel, name) is moved
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            parallel._NeverExisted
 
 
 class TestSpecExecutorField:

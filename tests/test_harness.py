@@ -13,7 +13,6 @@ from repro.api import (
     LocScheduler,
     OldestFirstScheduler,
     Workbench,
-    build_policy,
     get_kernel,
     monolithic_machine,
     resolve_policy,
@@ -64,15 +63,6 @@ class TestBuildPolicy:
         a, __, __n = _stack("s")
         b, __, __n2 = _stack("s")
         assert a is not b
-
-    def test_legacy_shim_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning):
-            steering, scheduler, needs = build_policy("s")
-        spec_steering, spec_scheduler, spec_needs = _stack("s")
-        assert type(steering) is type(spec_steering)
-        assert steering.config == spec_steering.config
-        assert type(scheduler) is type(spec_scheduler)
-        assert needs == spec_needs
 
 
 class TestWorkbenchCaching:

@@ -11,12 +11,8 @@ import pytest
 
 from repro.core.serialize import result_to_dict, results_identical
 from repro.experiments.cache import RunCache, job_key
-from repro.experiments.harness import (
-    POLICY_NAMES,
-    ParallelWorkbench,
-    Workbench,
-)
-from repro.experiments.parallel import dedupe_jobs, execute_job, execute_jobs
+from repro.experiments.harness import POLICY_NAMES, Workbench
+from repro.experiments.parallel import dedupe_jobs, execute_job, execute_outcomes
 from repro.experiments.runner import main
 from repro.workloads.suite import get_kernel
 
@@ -63,13 +59,15 @@ class TestParallelMatchesSerial:
         # All runs came from the prefetch; none re-executed serially.
         assert bench.simulations_run == len(jobs)
 
-    def test_execute_jobs_preserves_job_order(self):
+    def test_execute_outcomes_preserves_job_order(self):
         bench = Workbench(instructions=400, benchmarks=[get_kernel("gcc")])
         jobs = [
             bench.job(get_kernel("gcc"), bench.clustered(n), "dependence")
             for n in (2, 4, 8)
         ]
-        results = execute_jobs(jobs, workers=2)
+        outcomes = execute_outcomes(jobs, workers=2)
+        assert [o.job for o in outcomes] == jobs
+        results = [o.unwrap() for o in outcomes]
         assert [r.config.num_clusters for r in results] == [2, 4, 8]
 
     def test_worker_regenerated_trace_matches_prepared(self):
@@ -78,10 +76,6 @@ class TestParallelMatchesSerial:
         with_prepared = execute_job(job, bench.prepare(get_kernel("vpr")))
         regenerated = execute_job(job)
         assert results_identical(with_prepared, regenerated)
-
-    def test_parallel_workbench_defaults_workers(self):
-        bench = ParallelWorkbench(instructions=400)
-        assert bench.workers >= 1
 
 
 class TestRunCacheRoundTrip:

@@ -1,8 +1,11 @@
-"""Tests for the command-line experiment runner."""
+"""Tests for the experiment runner behind the ``repro`` command."""
+
+import importlib.util
 
 import pytest
 
-from repro.experiments.runner import build_parser, main
+from repro.cli import main
+from repro.experiments.runner import build_parser
 
 
 class TestParser:
@@ -15,6 +18,10 @@ class TestParser:
     def test_multiple_experiments(self):
         args = build_parser().parse_args(["figure2", "figure4"])
         assert args.experiments == ["figure2", "figure4"]
+
+    def test_repro_is_the_only_entry_point(self):
+        assert build_parser().prog == "repro"
+        assert importlib.util.find_spec("repro.experiments.__main__") is None
 
 
 class TestMain:

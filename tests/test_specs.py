@@ -7,9 +7,10 @@ Three families of guarantees:
 * **Hash stability** -- semantically equal specs produce identical
   cache keys regardless of dict key order, defaulted-vs-explicit
   parameter spelling, preset-name-vs-expanded form, or cosmetic names;
-* **Registries** -- presets build exactly what the legacy
-  ``build_policy`` built, unknown kinds/params fail with messages that
-  list the valid choices, and out-of-tree components plug in.
+* **Registries** -- presets build exactly the stacks the pre-spec
+  hand-written policy table built, unknown kinds/params fail with
+  messages that list the valid choices, and out-of-tree components plug
+  in.
 
 Plus the machine-geometry edge cases of Section 2.1 (resource rounding
 on 1-wide clusters, invalid cluster counts failing at spec time) and the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,6 @@ from repro.api import (
     SweepSpec,
     Workbench,
     WorkloadSpec,
-    build_policy,
     canonical_policy,
     clustered_machine,
     get_kernel,
@@ -250,17 +249,33 @@ class TestPresets:
         assert policy_names() == ("dependence", "focused", "l", "s", "p")
         assert tuple(POLICY_NAMES) == policy_names()
 
+    # What the pre-spec policy table built by hand, per preset:
+    # (steering, scheduler, needs_predictors,
+    #  (preference, stall_over_steer, proactive) for criticality steering).
+    LEGACY_STACKS = {
+        "affinity": ("AffinitySteering", "OldestFirstScheduler", False, None),
+        "dependence": ("DependenceSteering", "OldestFirstScheduler", False, None),
+        "focused": (
+            "CriticalitySteering", "CriticalFirstScheduler", True, ("binary", False, False)
+        ),
+        "l": ("CriticalitySteering", "LocScheduler", True, ("loc", False, False)),
+        "p": ("CriticalitySteering", "LocScheduler", True, ("loc", True, True)),
+        "readiness": ("ReadinessAwareSteering", "LocScheduler", True, ("loc", True, True)),
+        "s": ("CriticalitySteering", "LocScheduler", True, ("loc", True, False)),
+    }
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_builds_what_build_policy_built(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_steering, old_scheduler, old_needs = build_policy(name)
-        new_steering, new_scheduler, new_needs = resolve_policy(name).build()
-        assert type(new_steering) is type(old_steering)
-        assert type(new_scheduler) is type(old_scheduler)
-        assert new_needs == old_needs
-        if isinstance(new_steering, CriticalitySteering):
-            assert new_steering.config == old_steering.config
+        steering, scheduler, needs = resolve_policy(name).build()
+        want_steering, want_scheduler, want_needs, want_config = self.LEGACY_STACKS[name]
+        assert type(steering).__name__ == want_steering
+        assert type(scheduler).__name__ == want_scheduler
+        assert needs == want_needs
+        if isinstance(steering, CriticalitySteering):
+            config = steering.config
+            assert (
+                config.preference, config.stall_over_steer, config.proactive
+            ) == want_config
 
     def test_canonical_policy_collapses_preset_equal_specs(self):
         spec = resolve_policy(
@@ -411,9 +426,8 @@ class TestMachineGeometry:
         # Pre-heterogeneity this geometry was "not expressible"; now any
         # config inverts through the per-cluster spelling.
         config = clustered_machine(4)
-        odd = dataclasses.replace(
-            config, cluster=dataclasses.replace(config.cluster, int_ports=7)
-        )
+        odd_cluster = dataclasses.replace(config.cluster, int_ports=7)
+        odd = dataclasses.replace(config, clusters=(odd_cluster,) * 4)
         spec = MachineSpec.from_config(odd)
         assert not isinstance(spec.clusters, int)
         assert spec.build() == odd

@@ -346,17 +346,6 @@ class TestFacade:
         with pytest.raises(ValueError):
             api.figure("not_a_figure")
 
-    def test_deep_import_warns(self):
-        import repro.experiments as experiments
-
-        experiments.__dict__.pop("Workbench", None)  # re-arm the one-shot warn
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            experiments.Workbench  # noqa: B018
-        # Resolved value is the real class, cached for later accesses.
-        from repro.experiments.harness import Workbench
-
-        assert experiments.Workbench is Workbench
-
     def test_unknown_attribute_still_raises(self):
         import repro.experiments as experiments
 
