@@ -1,26 +1,30 @@
-"""Batched sweep backend: one decode/precompute/training pass per trace.
+"""Batched sweep backend and the per-process trace memo.
 
 A Figure 14 sweep runs the *same* kernel trace through ~11 policy x
-cluster-count grid points.  The per-job event path repeats the
-configuration-independent work -- trace generation, dependence/port
-precompute, criticality-predictor training -- once per grid point.  This
-module wires :func:`repro.core.batched.simulate_batched` (the
-structure-of-arrays fast engine) into the job layer so that work happens
-once per trace:
+cluster-count grid points.  Trace generation, the dependence/port
+precompute and criticality-predictor training do not depend on the grid
+point, so this module makes each of them happen once per trace:
 
+* the **trace memo** keeps, per process, the state of the
+  :data:`TRACE_MEMO_SIZE` most recently used traces, keyed by
+  :func:`batch_key`: the :class:`~repro.experiments.parallel.
+  PreparedWorkload` every backend runs on (:func:`prepared_trace`) and,
+  built on first use, the batched engine's
+  :class:`~repro.core.batched.TracePrecompute`, the canonical warm suite
+  and its frozen-priority cache.  Every job reads it, so consecutive
+  jobs on one trace share it however they are executed -- serially, in
+  a pooled same-trace group, or on a distributed worker;
 * :func:`fast_policy` lowers a :class:`~repro.specs.PolicySpec` to the
   flags the inlined engine branches on, or ``None`` when the stack is
   outside the fast path (readiness steering, token predictors,
   parameterized schedulers);
 * :func:`execute_batched_job` runs one ``sim="batched"`` job -- the
-  entry point :func:`repro.experiments.parallel.execute_job` dispatches
+  entry point :func:`~repro.experiments.parallel.execute_job` dispatches
   to, so retries, chaos injection, serial/parallel execution and the
   run cache all compose unchanged;
-* :func:`run_batched_group` executes a same-trace group of jobs sharing
-  one :class:`~repro.core.batched.TracePrecompute`, one canonical
-  predictor-training pass and one frozen-priority table cache (the
-  :meth:`Workbench.prefetch <repro.experiments.harness.Workbench
-  .prefetch>` fast path).
+* :func:`plan_groups` partitions a sweep into same-trace groups, which
+  the local pool runs one future per group so each group's jobs share
+  one worker process's memo.
 
 Methodology: ``warm=True`` batched runs measure with predictors
 **frozen** after a single canonical training pass (the monolithic
@@ -28,7 +32,7 @@ machine under the ``l`` stack -- the same run every figure normalizes
 against).  The trained state is therefore a function of
 ``(kernel, instructions, seed, loc_mode)`` only, which is what makes a
 grid point's result independent of how a sweep is grouped or ordered:
-running a job alone, in any batch, or in any permutation yields
+running a job alone, after any other jobs, or in any permutation yields
 bit-identical results and identical cache keys.  This deliberately
 differs from the event backend's per-entry warm-up (each grid point
 trains on its own machine/policy); the shift moves warm-run cycle
@@ -47,7 +51,9 @@ from __future__ import annotations
 
 import gc
 import os
-from contextlib import nullcontext
+import threading
+from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.batched import (
@@ -62,6 +68,8 @@ from repro.experiments.parallel import (
     _MAX_CPI_GUARD,
     PreparedWorkload,
     RunJob,
+    _stage_span,
+    execute_job,
     prepare_workload,
 )
 from repro.specs.policy import PolicySpec, policy_label, resolve_policy
@@ -70,11 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
     from repro.telemetry.tracing import Tracer
 
 __all__ = [
+    "TRACE_MEMO_SIZE",
     "batch_key",
+    "clear_trace_memo",
     "execute_batched_job",
     "fast_policy",
     "plan_groups",
-    "run_batched_group",
+    "prepared_trace",
     "supports_job",
     "warm_suite",
 ]
@@ -194,7 +204,7 @@ def warm_suite(
 
     One live-training pass of the monolithic baseline under the ``l``
     stack; deterministic in ``(trace, loc_mode, seed)`` and shared by
-    every ``warm=True`` grid point of a batch.
+    every ``warm=True`` grid point on the trace.
     """
     suite = ArrayPredictorState(pre, loc_mode, seed)
     simulate_batched(
@@ -209,24 +219,74 @@ def warm_suite(
     return suite
 
 
+# ---------------------------------------------------------------------------
+# The per-process trace memo
+# ---------------------------------------------------------------------------
+
+# Traces one process keeps state for, least recently used evicted first.
+# An entry (gcc, tracemalloc) is ~0.25 MB at 300-400 instructions and
+# ~8 MB at 12 000.  Sweeps are planned kernel-major, so a sweep needs one
+# entry; a second covers two traces in flight at once (two service
+# clients, two worker threads) without moving peak RSS.
+TRACE_MEMO_SIZE = 2
+
+# batch_key -> {stage: state}.  Every job (and thread) on a trace shares
+# its entry uncopied, which is sound because nothing writes the state
+# once built: DynamicInstruction and Dependences are frozen, the warm
+# suite is only read (measured runs pass live_training=False), and the
+# frozen cache is only filled from that one suite.
+_memo: "OrderedDict[tuple, dict]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _reset_memo_lock() -> None:
+    # A child forked while another thread held the lock would inherit it
+    # held forever.
+    global _memo_lock
+    _memo_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_memo_lock)
+
+
+def _memoized(key: tuple, stage: str, build):
+    """``build()``, run once per trace and stage in this process."""
+    with _memo_lock:
+        entry = _memo.get(key)
+        if entry is None:
+            entry = _memo[key] = {}
+            if len(_memo) > TRACE_MEMO_SIZE:
+                _memo.popitem(last=False)
+        else:
+            _memo.move_to_end(key)
+        if stage not in entry:
+            entry[stage] = build()
+        return entry[stage]
+
+
+def prepared_trace(
+    kernel: str, instructions: int, seed: int, loc_mode: str
+) -> PreparedWorkload:
+    """One trace (:func:`batch_key` order) from the memo; a miss runs the VM."""
+    return _memoized(
+        (kernel, instructions, seed, loc_mode),
+        "prepared",
+        lambda: prepare_workload(kernel, instructions, seed),
+    )
+
+
+def clear_trace_memo() -> None:
+    """Empty this process's memo, so the next job on any trace starts cold."""
+    with _memo_lock:
+        _memo.clear()
+
+
 def execute_batched_job(
-    job: RunJob,
-    prepared: PreparedWorkload | None = None,
-    tracer: "Tracer | None" = None,
-    pre: TracePrecompute | None = None,
-    suite: ArrayPredictorState | None = None,
-    frozen_cache: dict | None = None,
+    job: RunJob, tracer: "Tracer | None" = None
 ) -> SimulationResult:
-    """Run one ``sim="batched"`` job.
+    """Run one ``sim="batched"`` job on its trace's memoized state.
 
-    ``pre``/``suite``/``frozen_cache`` let :func:`run_batched_group`
-    amortize the trace precompute, the canonical warm-up and the
-    frozen-priority tables across a group; results are bit-identical
-    with or without them.  ``suite`` must be the canonical
-    :func:`warm_suite` state for this trace and ``frozen_cache`` must
-    not be shared across different suites (the engine documents the
-    contract on :func:`~repro.core.batched.simulate_batched`).
-
+    Results are bit-identical whether the memo was cold or warm.
     Raises :class:`ValueError` for jobs the backend cannot run
     (``metrics=True``, or a policy outside the fast path).
     """
@@ -242,123 +302,49 @@ def execute_batched_job(
             "the batched backend does not attach telemetry; run metrics "
             "jobs with sim='event'"
         )
-
-    def span(name: str, **meta):
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(
-            name, kernel=job.kernel, policy=policy_label(job.policy), **meta
+    span = partial(_stage_span, tracer, job)
+    key = batch_key(job)
+    with span("trace-prep"):
+        prepared = prepared_trace(*key)
+    with span("trace-precompute"):
+        pre = _memoized(
+            key, "precompute", lambda: TracePrecompute.from_prepared(prepared)
         )
-
-    if pre is None:
-        if prepared is None:
-            with span("trace-prep"):
-                prepared = prepare_workload(job.kernel, job.instructions, job.seed)
-        with span("trace-precompute"):
-            pre = TracePrecompute.from_prepared(prepared)
-    max_cycles = _max_cycles(pre)
-    if not pol.needs_predictors:
-        with span("measure", sim="batched"):
-            return simulate_batched(
-                pre,
-                job.config,
-                pol,
-                collect_ilp=job.collect_ilp,
-                max_cycles=max_cycles,
-            )
-    if not job.warm:
-        # Cold run: live training from scratch, exactly the event
-        # backend's warm=False semantics (bit-identical).
-        fresh = ArrayPredictorState(pre, job.loc_mode, job.seed)
-        with span("measure", sim="batched"):
-            return simulate_batched(
-                pre,
-                job.config,
-                pol,
-                predictors=fresh,
-                live_training=True,
-                collect_ilp=job.collect_ilp,
-                max_cycles=max_cycles,
-            )
-    if suite is None:
-        with span("warmup", sim="batched"):
-            suite = warm_suite(pre, job.loc_mode, job.seed)
-    with span("measure", sim="batched"):
-        return simulate_batched(
-            pre,
-            job.config,
-            pol,
-            predictors=suite,
-            live_training=False,
-            collect_ilp=job.collect_ilp,
-            max_cycles=max_cycles,
-            frozen_cache=frozen_cache,
-        )
-
-
-def run_batched_group(
-    jobs: Sequence[RunJob],
-    prepared: PreparedWorkload | None = None,
-    tracer: "Tracer | None" = None,
-) -> list[SimulationResult]:
-    """Execute a same-trace group of batched jobs in one pass.
-
-    All jobs must share :func:`batch_key`.  The trace is prepared and
-    precomputed once, the canonical warm-up runs once (lazily, on the
-    first ``warm=True`` predictor-consuming job), and frozen-priority
-    tables are shared through one ``frozen_cache``.  The allocator's
-    cyclic GC is paused for the duration (the engine allocates no
-    cycles; scanning its flat columns is pure overhead).
-
-    Returns results in job order, each bit-identical to what
-    :func:`execute_batched_job` produces for the job alone.
-    """
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    keys = {batch_key(job) for job in jobs}
-    if len(keys) != 1:
-        raise ValueError(f"group spans multiple traces: {sorted(keys)}")
-    first = jobs[0]
-    if prepared is None:
-        if tracer is not None:
-            with tracer.span("trace-prep", kernel=first.kernel):
-                prepared = prepare_workload(
-                    first.kernel, first.instructions, first.seed
-                )
-        else:
-            prepared = prepare_workload(first.kernel, first.instructions, first.seed)
-    pre = TracePrecompute.from_prepared(prepared)
-    suite: ArrayPredictorState | None = None
-    frozen_cache: dict = {}
-    results: list[SimulationResult] = []
-    was_enabled = gc.isenabled()
+    frozen = pol.needs_predictors and job.warm
+    predictors = frozen_cache = None
+    # The engine makes no reference cycles; the cyclic GC scanning its
+    # flat columns is pure overhead.
+    gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for job in jobs:
-            pol = fast_policy(job.policy)
-            shared = pol is not None and pol.needs_predictors and job.warm
-            if shared and suite is None:
-                suite = warm_suite(pre, first.loc_mode, first.seed)
-            results.append(
-                execute_batched_job(
-                    job,
-                    prepared,
-                    tracer=tracer,
-                    pre=pre,
-                    suite=suite if shared else None,
-                    frozen_cache=frozen_cache if shared else None,
+        if frozen:
+            with span("warmup", sim="batched"):
+                predictors, frozen_cache = _memoized(
+                    key, "warm", lambda: (warm_suite(pre, job.loc_mode, job.seed), {})
                 )
+        elif pol.needs_predictors:
+            # Cold run: live training from scratch, exactly the event
+            # backend's warm=False semantics (bit-identical).
+            predictors = ArrayPredictorState(pre, job.loc_mode, job.seed)
+        with span("measure", sim="batched"):
+            return simulate_batched(
+                pre,
+                job.config,
+                pol,
+                predictors=predictors,
+                live_training=not frozen,
+                collect_ilp=job.collect_ilp,
+                max_cycles=_max_cycles(pre),
+                frozen_cache=frozen_cache,
             )
     finally:
-        if was_enabled:
+        if gc_was_enabled:
             gc.enable()
-    return results
 
 
 def group_worker(jobs: Sequence[RunJob]) -> list[SimulationResult]:
-    """Pool-worker entry point for one group (picklable, no tracer)."""
-    return run_batched_group(jobs)
+    """Pool entry point for one same-trace group; its jobs share the worker's memo."""
+    return [execute_job(job) for job in jobs]
 
 
 def plan_groups(

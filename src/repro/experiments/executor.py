@@ -20,13 +20,12 @@ boundaries and raises
 
 Backends:
 
-* :class:`LocalPoolExecutor` -- this module.  The historical execution
-  engine, re-homed from :mod:`repro.experiments.parallel` unchanged:
-  per-job futures on a :class:`~concurrent.futures.ProcessPoolExecutor`
-  with retries, per-attempt wall-time budgets, pool respawn and serial
-  degradation, plus the batched same-trace group fast path
-  (:mod:`repro.experiments.batch`) that the workbench's prefetch used to
-  drive itself.  Behavior- and bit-identical to the pre-protocol code.
+* :class:`LocalPoolExecutor` -- this module.  In-process serial
+  execution, or per-job futures on a
+  :class:`~concurrent.futures.ProcessPoolExecutor` with retries,
+  per-attempt wall-time budgets, pool respawn and serial degradation,
+  plus one future per same-trace batched group
+  (:mod:`repro.experiments.batch`).
 * :class:`~repro.experiments.distributed.DistributedExecutor` -- a
   coordinator sharding jobs to ``repro worker`` processes over sockets
   or a spool directory (:mod:`repro.distwork`).
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
@@ -79,11 +79,7 @@ def executor_names() -> tuple[str, ...]:
 
 
 def make_executor(
-    name: str,
-    *,
-    workers: int = 0,
-    endpoint: str | None = None,
-    batch_groups: bool = True,
+    name: str, *, workers: int = 0, endpoint: str | None = None
 ) -> "Executor":
     """Build the named executor backend.
 
@@ -92,7 +88,7 @@ def make_executor(
     distributed backend.
     """
     if name == "local":
-        return LocalPoolExecutor(workers=workers, batch_groups=batch_groups)
+        return LocalPoolExecutor(workers=workers)
     if name == "distributed":
         if not endpoint:
             raise ValueError(
@@ -149,26 +145,22 @@ class Executor(Protocol):
 
 
 class LocalPoolExecutor:
-    """Process-pool execution with retries, timeouts and group batching.
+    """Serial or process-pool execution with retries and timeouts.
 
-    ``workers <= 1`` (or a single job) runs serially in-process; more
-    workers fan per-job futures out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` via the resilient
-    scheduler (:class:`_PoolScheduler`).  With ``batch_groups`` (the
-    workbench's prefetch mode), same-trace ``sim="batched"`` jobs first
-    run as shared-precompute groups -- one trace decode, dependence pass
-    and canonical predictor warm-up per kernel -- exactly as
-    ``Workbench.prefetch`` did before the protocol existed; a group that
-    fails for any reason falls back, whole, to the fault-tolerant
-    per-job path.  Group execution steps aside under fault injection and
-    per-job wall-time budgets, where per-job observability matters.
+    ``workers <= 1`` (or a single job) runs every job in-process, one
+    after another, sharing this process's trace memo
+    (:mod:`repro.experiments.batch`).  More workers fan per-job futures
+    out over a :class:`~concurrent.futures.ProcessPoolExecutor` via the
+    resilient scheduler (:class:`_PoolScheduler`), after same-trace
+    ``sim="batched"`` groups: two or more go to the pool one future per
+    group, so a group shares one worker's memo; a lone group runs
+    in-process.
     """
 
     name = "local"
 
-    def __init__(self, workers: int = 0, batch_groups: bool = True):
+    def __init__(self, workers: int = 0):
         self.workers = workers
-        self.batch_groups = batch_groups
 
     def close(self) -> None:
         """No long-lived resources: pools live for one execute() call."""
@@ -186,134 +178,74 @@ class LocalPoolExecutor:
     ) -> list[JobOutcome]:
         policy = policy if policy is not None else ExecutionPolicy()
         jobs = list(jobs)
-        if not jobs:
-            return []
+        if self.workers <= 1 or len(jobs) <= 1:
+            return _run_serial(jobs, tracer, policy, on_outcome, stats, should_stop)
+        from repro.experiments.batch import grouping_blocked
+
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
         remaining = list(enumerate(jobs))
-        if self._grouping_eligible(jobs, policy):
+        # Groups step aside under fault injection (the chaos harness
+        # targets single attempts), under a per-job wall-time budget (a
+        # group cannot be recycled mid-flight) and for duplicate jobs
+        # (settled jobs map back to submission slots by identity).
+        if (
+            grouping_blocked() is None
+            and policy.job_timeout is None
+            and len(set(jobs)) == len(jobs)
+        ):
             remaining = self._run_groups(
-                remaining, tracer, outcomes, on_outcome, stats, should_stop
+                remaining, tracer, policy, outcomes, on_outcome, stats, should_stop
             )
         if remaining:
-            settled = self._run_per_job(
+            scheduler = _PoolScheduler(
                 [job for _, job in remaining],
+                min(self.workers, len(remaining)),
                 tracer,
                 policy,
                 on_outcome,
                 stats,
-                should_stop,
+                should_stop=should_stop,
             )
-            for (index, _job), outcome in zip(remaining, settled):
+            for (index, _job), outcome in zip(remaining, scheduler.run()):
                 outcomes[index] = outcome
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
     # -- batched same-trace groups --------------------------------------
-    def _grouping_eligible(
-        self, jobs: "list[RunJob]", policy: ExecutionPolicy
-    ) -> bool:
-        """Whether the shared-precompute group fast path may run.
-
-        The gates mirror the workbench's historical prefetch: grouping is
-        bypassed under fault injection (the chaos harness targets
-        individual attempts) and under a per-job wall-time budget (a
-        group cannot be recycled mid-flight).  Duplicate jobs also
-        bypass it -- group bookkeeping maps settled jobs back to
-        submission slots by job identity, which needs the slots to be
-        unambiguous (the workbench dedupes before submitting, so its
-        calls always group).
-        """
-        if not self.batch_groups:
-            return False
-        from repro.experiments.batch import grouping_blocked
-
-        if grouping_blocked() is not None or policy.job_timeout is not None:
-            return False
-        return len(set(jobs)) == len(jobs)
-
     def _run_groups(
         self,
         indexed: "list[tuple[int, RunJob]]",
         tracer: "Tracer | None",
+        policy: ExecutionPolicy,
         outcomes: "list[JobOutcome | None]",
         on_outcome: "Callable[[JobOutcome], None] | None",
         stats: OutcomeStats | None,
         should_stop: "Callable[[], bool] | None",
     ) -> "list[tuple[int, RunJob]]":
-        """Run plan-able groups; return the (index, job) pairs still owed.
+        """Run same-trace batched groups; return the (index, job) pairs still owed.
 
-        Grouped execution shares one trace decode, dependence precompute
-        and canonical predictor warm-up per kernel while each job's
-        *result* stays bit-identical to individual execution (the
-        canonical warm-up makes grid points independent of grouping).
-        Group members that execute count toward ``stats.executed`` just
-        like per-job successes, so the executed counter never drifts
-        below the workbench's ``simulations_run``.
+        A lone group runs in-process, on this process's memo.  Two or more
+        fan out over a process pool, one future per group, so each group
+        shares one worker's memo; worker spans are not collected, the
+        parent records one ``batched-group`` span per group.  A group that
+        fails for any reason -- a broken pool included -- is owed, whole,
+        to the per-job path.  ``should_stop`` is polled while awaiting
+        groups; settled groups stay settled.  Members count toward
+        ``stats.executed`` like per-job successes, so the counter never
+        drifts below the workbench's ``simulations_run``.
         """
-        from repro.experiments.batch import plan_groups, run_batched_group
+        from repro.experiments.batch import group_worker, plan_groups
 
-        jobs = [job for _, job in indexed]
         index_of = {job: index for index, job in indexed}
-        groups, rest = plan_groups(jobs)
-        if not groups:
-            return indexed
-        fallback: "list[RunJob]" = []
-
-        def settle_group(group, results) -> None:
-            for job, result in zip(group, results):
-                if stats is not None:
-                    stats.executed += 1
-                outcome = JobOutcome(job=job, result=result, attempts=1)
-                outcomes[index_of[job]] = outcome
-                if on_outcome is not None:
-                    on_outcome(outcome)
-
-        if self.workers > 1 and len(groups) > 1:
-            fallback.extend(
-                self._run_groups_pooled(groups, settle_group, tracer, should_stop)
-            )
-        else:
+        groups, rest = plan_groups(job for _, job in indexed)
+        if len(groups) <= 1:
+            # One trace gains nothing from a pool: run its group here,
+            # before the leftovers go to the pool.
             for group in groups:
-                if should_stop is not None and should_stop():
-                    raise ExecutionInterrupted(
-                        "execution stopped between batched groups"
-                    )
-                try:
-                    if tracer is not None:
-                        with tracer.span(
-                            "batched-group",
-                            kernel=group[0].kernel,
-                            jobs=len(group),
-                        ):
-                            results = run_batched_group(group, tracer=tracer)
-                    else:
-                        results = run_batched_group(group)
-                except Exception:
-                    fallback.extend(group)
-                else:
-                    settle_group(group, results)
-        return [(index_of[job], job) for job in rest + fallback]
-
-    def _run_groups_pooled(
-        self,
-        groups,
-        settle_group,
-        tracer: "Tracer | None",
-        should_stop: "Callable[[], bool] | None",
-    ) -> "list[RunJob]":
-        """Fan whole groups out over a process pool (one future each).
-
-        Worker tracer spans are not collected here (unlike the per-job
-        pool); the parent records one ``batched-group`` span per group.
-        Any per-group failure -- including a broken pool -- returns the
-        group's jobs for the resilient per-job path to retry.
-        ``should_stop`` is polled while awaiting completions, so a
-        graceful shutdown can interrupt a multi-group sweep instead of
-        waiting for the whole pool to drain; already-settled groups stay
-        settled.
-        """
-        from repro.experiments.batch import group_worker
-
+                settled = _run_serial(group, tracer, policy, on_outcome, stats, should_stop)
+                for job, outcome in zip(group, settled):
+                    outcomes[index_of[job]] = outcome
+            return [(index_of[job], job) for job in rest]
         failed: "list[RunJob]" = []
         pool = ProcessPoolExecutor(max_workers=min(self.workers, len(groups)))
         try:
@@ -331,68 +263,58 @@ class LocalPoolExecutor:
                 )
                 for future in done:
                     group = futures[future]
+                    span = nullcontext()
+                    if tracer is not None:
+                        span = tracer.span(
+                            "batched-group", kernel=group[0].kernel, jobs=len(group), pooled=True
+                        )
                     try:
-                        if tracer is not None:
-                            with tracer.span(
-                                "batched-group",
-                                kernel=group[0].kernel,
-                                jobs=len(group),
-                                pooled=True,
-                            ):
-                                results = future.result()
-                        else:
+                        with span:
                             results = future.result()
                     except Exception:
                         failed.extend(group)
-                    else:
-                        settle_group(group, results)
+                        continue
+                    for job, result in zip(group, results):
+                        if stats is not None:
+                            stats.executed += 1
+                        outcome = JobOutcome(job=job, result=result, attempts=1)
+                        outcomes[index_of[job]] = outcome
+                        if on_outcome is not None:
+                            on_outcome(outcome)
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
             pool.shutdown(wait=True)
-        return failed
+        return [(index_of[job], job) for job in rest + failed]
 
-    # -- resilient per-job path -----------------------------------------
-    def _run_per_job(
-        self,
-        jobs: "list[RunJob]",
-        tracer: "Tracer | None",
-        policy: ExecutionPolicy,
-        on_outcome: "Callable[[JobOutcome], None] | None",
-        stats: OutcomeStats | None,
-        should_stop: "Callable[[], bool] | None",
-    ) -> list[JobOutcome]:
-        from repro.experiments.parallel import run_job_outcome
 
-        if self.workers <= 1 or len(jobs) <= 1:
-            outcomes: list[JobOutcome] = []
-            for job in jobs:
-                if should_stop is not None and should_stop():
-                    raise ExecutionInterrupted(
-                        f"execution stopped with {len(jobs) - len(outcomes)} "
-                        "job(s) not yet run"
-                    )
-                outcome = run_job_outcome(
-                    job, tracer=tracer, policy=policy, stats=stats
-                )
-                outcomes.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-                if not outcome.ok and policy.fail_fast:
-                    assert outcome.failure is not None
-                    raise RunFailureError(job, outcome.failure)
-            return outcomes
-        scheduler = _PoolScheduler(
-            jobs,
-            min(self.workers, len(jobs)),
-            tracer,
-            policy,
-            on_outcome,
-            stats,
-            should_stop=should_stop,
-        )
-        return scheduler.run()
+def _run_serial(
+    jobs: "list[RunJob]",
+    tracer: "Tracer | None",
+    policy: ExecutionPolicy,
+    on_outcome: "Callable[[JobOutcome], None] | None",
+    stats: OutcomeStats | None,
+    should_stop: "Callable[[], bool] | None",
+) -> list[JobOutcome]:
+    """Run ``jobs`` in-process, one after another, each with retries."""
+    from repro.experiments.parallel import run_job_outcome
+
+    outcomes: list[JobOutcome] = []
+    for job in jobs:
+        if should_stop is not None and should_stop():
+            raise ExecutionInterrupted(
+                f"execution stopped with {len(jobs) - len(outcomes)} "
+                "job(s) not yet run"
+            )
+        outcome = run_job_outcome(job, tracer=tracer, policy=policy, stats=stats)
+        outcomes.append(outcome)
+        if on_outcome is not None:
+            on_outcome(outcome)
+        if not outcome.ok and policy.fail_fast:
+            assert outcome.failure is not None
+            raise RunFailureError(job, outcome.failure)
+    return outcomes
 
 
 class CircuitBreaker:

@@ -1,21 +1,24 @@
 """Shared experiment harness.
 
-A :class:`Workbench` prepares workload traces once (dependences and
-mispredictions are configuration-independent), builds the paper's policy
-stacks by name, and runs simulations with the paper's predictor-warm-up
-methodology: every measured run is preceded by a warm-up run of the same
-machine and policy that trains the criticality/LoC predictors online, then
-the measurement run continues training from the warm state (Section 2.1
-"after warming up the branch predictor and cache"; the criticality predictor
-warms the same way).
+A :class:`Workbench` builds the paper's policy stacks by name and runs
+simulations with the paper's predictor-warm-up methodology: every
+measured run is preceded by a warm-up run of the same machine and policy
+that trains the criticality/LoC predictors online, then the measurement
+run continues training from the warm state (Section 2.1 "after warming
+up the branch predictor and cache"; the criticality predictor warms the
+same way).
 
 Runs are cached at two levels:
 
-* an **in-memory** cache keyed by (kernel, config, policy, collect_ilp,
-  warm) for the lifetime of the workbench;
+* an **in-memory** cache keyed by the full
+  :class:`~repro.experiments.parallel.RunJob` for the lifetime of the
+  workbench;
 * an optional **persistent** :class:`~repro.experiments.cache.RunCache`
   shared across processes and invocations, keyed by a content hash of the
   full :class:`~repro.experiments.parallel.RunJob`.
+
+Traces come from the per-process trace memo
+(:func:`repro.experiments.batch.prepared_trace`), not from the workbench.
 
 Independent runs can be fanned out over worker processes with
 :meth:`Workbench.prefetch` (each figure module publishes a ``plan_*``
@@ -39,20 +42,21 @@ from typing import Iterable, Sequence
 
 from repro.core.config import MachineConfig, clustered_machine, monolithic_machine
 from repro.core.results import SimulationResult
-from repro.experiments.batch import batchable_config, fast_policy
+from repro.experiments.batch import batchable_config, fast_policy, prepared_trace
 from repro.experiments.cache import RunCache
 from repro.experiments.executor import Executor, executor_names, make_executor
 from repro.experiments.outcomes import (
     ExecutionPolicy,
     JobOutcome,
     OutcomeStats,
+    RunFailure,
     RunFailureError,
 )
 from repro.experiments.parallel import (
     PreparedWorkload,
     RunJob,
     dedupe_jobs,
-    prepare_workload,
+    prepare_workload,  # noqa: F401 - unused here; perfbench/layers.py patches it
     run_job_outcome,
 )
 from repro.specs.policy import PolicySpec, canonical_policy, policy_names
@@ -74,7 +78,7 @@ DEFAULT_INSTRUCTIONS = 12_000
 
 
 class Workbench:
-    """Caches prepared workloads and canonical runs for one experiment pass.
+    """Caches canonical runs for one experiment pass.
 
     ``workers`` > 1 lets :meth:`prefetch` fan independent runs out over a
     process pool; ``cache`` adds a persistent on-disk result store shared
@@ -91,8 +95,8 @@ class Workbench:
     Backend selection: ``sim`` picks the timing loop ("event",
     "reference", or "batched"); event-mode jobs whose policy the batched
     backend supports are promoted to ``sim="batched"`` at :meth:`job`
-    construction, and :meth:`prefetch` runs same-trace groups of them
-    through one shared decode/precompute/warm-up pass
+    construction.  Jobs on one trace share one decode, precompute and
+    canonical warm-up through the per-process trace memo
     (:mod:`repro.experiments.batch`).
 
     Execution backend: ``executor`` names the
@@ -147,7 +151,6 @@ class Workbench:
         if cache is not None and tracer is not None and cache.tracer is None:
             cache.tracer = tracer
         self.simulations_run = 0
-        self._prepared: dict[str, PreparedWorkload] = {}
         # Keyed by the full job: RunJob is frozen and its fields are
         # exactly the inputs that determine a run's output, so memory
         # identity coincides with the on-disk cache's hash domain.
@@ -156,17 +159,12 @@ class Workbench:
 
     # ------------------------------------------------------------------
     def prepare(self, spec: KernelSpec) -> PreparedWorkload:
-        """Generate (once) the trace, dependences and mispredictions."""
-        cached = self._prepared.get(spec.name)
-        if cached is not None:
-            return cached
-        if self.tracer is not None:
-            with self.tracer.span("trace-prep", kernel=spec.name):
-                prepared = prepare_workload(spec.name, self.instructions, self.seed)
-        else:
-            prepared = prepare_workload(spec.name, self.instructions, self.seed)
-        self._prepared[spec.name] = prepared
-        return prepared
+        """The trace, dependences and mispredictions, from the trace memo."""
+        key = (spec.name, self.instructions, self.seed, self.loc_mode)
+        if self.tracer is None:
+            return prepared_trace(*key)
+        with self.tracer.span("trace-prep", kernel=spec.name):
+            return prepared_trace(*key)
 
     # ------------------------------------------------------------------
     def job(
@@ -278,11 +276,7 @@ class Workbench:
                 self._run_cache[job] = loaded
                 return JobOutcome(job=job, result=loaded, attempts=0, source="cache")
         out = run_job_outcome(
-            job,
-            self.prepare(spec),
-            tracer=self.tracer,
-            policy=self.execution,
-            stats=self.exec_stats,
+            job, tracer=self.tracer, policy=self.execution, stats=self.exec_stats
         )
         self._settle(out)
         if not out.ok and self.execution.fail_fast:
@@ -315,8 +309,9 @@ class Workbench:
     def prefetch(self, jobs: Iterable[RunJob], on_outcome=None, should_stop=None) -> int:
         """Materialize ``jobs`` into the caches, fanning out over workers.
 
-        Already-cached jobs (memory or disk) are skipped; the rest run on
-        a process pool when ``workers`` > 1, serially otherwise.  Returns
+        Already-cached jobs (memory or disk) are skipped, and so are jobs
+        in the failure ledger, as in :meth:`outcome`; the rest run on a
+        process pool when ``workers`` > 1, serially otherwise.  Returns
         the number of simulations actually executed.  After a prefetch,
         the matching :meth:`run` calls are cache hits, so figure code can
         stay serial while the heavy lifting happens in parallel.
@@ -331,14 +326,14 @@ class Workbench:
         first failure raises :class:`~repro.experiments.outcomes.
         RunFailureError` after in-flight work is torn down.
 
-        ``should_stop`` is polled between jobs (and between batched
-        groups); when it turns true the prefetch raises
+        ``should_stop`` is polled between jobs (and while awaiting pooled
+        work); when it turns true the prefetch raises
         :class:`~repro.experiments.outcomes.ExecutionInterrupted` --
         already-settled jobs stay cached and journaled.
         """
         pending: list[RunJob] = []
         for job in dedupe_jobs(jobs):
-            if job in self._run_cache:
+            if job in self._run_cache or job in self._failures:
                 continue
             if self.cache is not None:
                 loaded = self.cache.load(job)
@@ -406,6 +401,18 @@ class Workbench:
     def failed_outcomes(self) -> list[JobOutcome]:
         """Every failed outcome this workbench has recorded, in order."""
         return list(self._failures.values())
+
+    def record_failure(self, job: RunJob, failure: RunFailure) -> None:
+        """Ledger a failure settled elsewhere, unless ``job`` has a result."""
+        if job not in self._run_cache:
+            self._failures[job] = JobOutcome(
+                job=job, failure=failure, attempts=failure.attempts, elapsed=failure.elapsed
+            )
+
+    def forget_failures(self, jobs: Iterable[RunJob]) -> None:
+        """Drop ``jobs`` from the ledger, so the next prefetch retries them."""
+        for job in jobs:
+            self._failures.pop(job, None)
 
     def cached_results(self) -> list[tuple[RunJob, SimulationResult]]:
         """Every (job, result) this workbench has materialized, in order.

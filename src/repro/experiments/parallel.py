@@ -1,36 +1,33 @@
 """Parallel experiment execution: picklable run jobs and worker fan-out.
 
-Independent (kernel x machine-config x policy) simulations share nothing,
-so they fan out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-A job is described by a small picklable :class:`RunJob` -- kernel *name*
-rather than spec, so each worker regenerates the trace deterministically
-from the seeded interpreter instead of shipping megabytes of trace over
-the pipe.
+Independent (kernel x machine-config x policy) simulations share nothing
+but their trace, so they fan out over a
+:class:`concurrent.futures.ProcessPoolExecutor`.  A job is described by
+a small picklable :class:`RunJob` -- kernel *name* rather than spec, so
+each worker regenerates the trace deterministically from the seeded
+interpreter instead of shipping megabytes of trace over the pipe.
 
 Determinism contract: :func:`execute_job` is the *only* code path that
-runs a simulation, for both serial (:meth:`Workbench.run
-<repro.experiments.harness.Workbench.run>`) and parallel
-(:meth:`Workbench.prefetch <repro.experiments.harness.Workbench.prefetch>`)
-execution, and every stochastic component it touches (workload data, LoC
-predictor) derives its stream from the job's explicit seed.  Serial and
-parallel runs therefore produce bit-identical
-:class:`~repro.core.results.SimulationResult`\\ s -- an invariant enforced
-by ``tests/test_parallel_workbench.py``.  A *retried* job is equally
-bit-identical to a first-try job: the attempt number feeds only the
-fault-injection harness, never the simulation.
+runs a simulation -- serial and pooled execution, pooled same-trace
+groups, distributed workers and :meth:`Workbench.outcome
+<repro.experiments.harness.Workbench.outcome>` all call it -- and every
+stochastic component it touches (workload data, LoC predictor) derives
+its stream from the job's explicit seed.  The per-trace state it shares
+between jobs (the trace memo, :func:`repro.experiments.batch.prepared_trace`)
+is read-only once built, so a job's result does not depend on which jobs
+ran before it in the same process.  Serial and parallel runs therefore
+produce bit-identical :class:`~repro.core.results.SimulationResult`\\ s
+-- an invariant enforced by ``tests/test_parallel_workbench.py``.  A
+*retried* job is equally bit-identical to a first-try job: the attempt
+number feeds only the fault-injection harness, never the simulation.
 
-Fault tolerance (:func:`execute_outcomes`): instead of a bare
-``pool.map`` that dies with the first worker, jobs run as individual
-futures under an :class:`~repro.experiments.outcomes.ExecutionPolicy` --
-per-attempt wall-time budgets (enforced by recycling the pool around a
-hung worker), bounded retries with exponential backoff for transient
-failure kinds, ``BrokenProcessPool`` recovery (respawn the pool,
-re-enqueue only the jobs that were in flight, degrade to in-process
-serial execution after repeated no-progress pool deaths) and clean
-``KeyboardInterrupt`` shutdown (cancel pending futures, kill the pool's
-children, re-raise).  Every job yields a typed
-:class:`~repro.experiments.outcomes.JobOutcome` so sweeps keep going
-past individual failures.
+Fault tolerance (:func:`execute_outcomes`, over
+:class:`~repro.experiments.executor.LocalPoolExecutor`): jobs run under
+an :class:`~repro.experiments.outcomes.ExecutionPolicy` -- per-attempt
+wall-time budgets, bounded retries with backoff, pool respawn, serial
+degradation and clean ``KeyboardInterrupt`` shutdown -- and every job
+yields a typed :class:`~repro.experiments.outcomes.JobOutcome`, so
+sweeps keep going past individual failures.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import MachineConfig
@@ -130,13 +128,18 @@ def prepare_workload(kernel: str, instructions: int, seed: int) -> PreparedWorkl
     return PreparedWorkload(spec.name, trace, dependences, mispredicted)
 
 
-def execute_job(
-    job: RunJob,
-    prepared: PreparedWorkload | None = None,
-    tracer: "Tracer | None" = None,
-) -> SimulationResult:
-    """Run one simulation, regenerating the trace unless ``prepared`` is given.
+def _stage_span(tracer: "Tracer | None", job: RunJob, name: str, **meta):
+    """A span timing one stage of ``job``; a no-op without a tracer."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, kernel=job.kernel, policy=policy_label(job.policy), **meta)
 
+
+def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationResult:
+    """Run one simulation on its trace's memoized state.
+
+    The trace comes from this process's trace memo
+    (:func:`repro.experiments.batch.prepared_trace`), generated on a miss.
     Implements the paper's warm-up methodology: when the policy needs
     criticality predictors and ``job.warm`` is set, a throwaway run first
     trains the predictors online, then the measured run continues from the
@@ -147,14 +150,10 @@ def execute_job(
     on ``result.telemetry``.  With ``tracer`` given, the prep / warm-up /
     measure stages are timed as spans.
     """
-    policy_spec = resolve_policy(job.policy)
+    from repro.experiments.batch import batch_key, execute_batched_job, prepared_trace
 
-    def span(name: str, **meta):
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(
-            name, kernel=job.kernel, policy=policy_label(job.policy), **meta
-        )
+    policy_spec = resolve_policy(job.policy)
+    span = partial(_stage_span, tracer, job)
 
     if job.sim == "event":
         sim_cls = ClusteredSimulator
@@ -165,19 +164,13 @@ def execute_job(
     elif job.sim == "batched":
         # The batched backend has its own warm-up and measurement shape;
         # it handles tracing spans itself and rejects metrics jobs.
-        from repro.experiments.batch import execute_batched_job
-
-        if prepared is None:
-            with span("trace-prep"):
-                prepared = prepare_workload(job.kernel, job.instructions, job.seed)
-        return execute_batched_job(job, prepared, tracer=tracer)
+        return execute_batched_job(job, tracer=tracer)
     else:
         raise ValueError(
             f"unknown simulator {job.sim!r}; want 'event', 'reference' or 'batched'"
         )
-    if prepared is None:
-        with span("trace-prep"):
-            prepared = prepare_workload(job.kernel, job.instructions, job.seed)
+    with span("trace-prep"):
+        prepared = prepared_trace(*batch_key(job))
     max_cycles = _MAX_CPI_GUARD * len(prepared.trace) + 10_000
     steering, scheduler, needs_predictors = policy_spec.build()
     suite = None
@@ -277,14 +270,11 @@ def _validate_result(job: RunJob, result: object) -> SimulationResult:
 
 
 def _run_attempt(
-    job: RunJob,
-    attempt: int,
-    prepared: PreparedWorkload | None = None,
-    tracer: "Tracer | None" = None,
+    job: RunJob, attempt: int, tracer: "Tracer | None" = None
 ) -> SimulationResult:
     """One attempt, with chaos applied around the deterministic run."""
     garble = _apply_chaos(job, attempt)
-    result = execute_job(job, prepared, tracer=tracer)
+    result = execute_job(job, tracer=tracer)
     if garble:
         result.cycles = -abs(result.cycles)
     return _validate_result(job, result)
@@ -309,7 +299,7 @@ def _pool_attempt(payload: tuple) -> tuple[SimulationResult, list[tuple] | None]
 
 def run_job_outcome(
     job: RunJob,
-    prepared: PreparedWorkload | None = None,
+    *,
     tracer: "Tracer | None" = None,
     policy: ExecutionPolicy | None = None,
     stats: OutcomeStats | None = None,
@@ -344,7 +334,7 @@ def run_job_outcome(
             if attempt_runner is not None:
                 result = attempt_runner(job, attempt)
             else:
-                result = _run_attempt(job, attempt, prepared, tracer)
+                result = _run_attempt(job, attempt, tracer)
         except ExecutionInterrupted:
             raise
         except Exception as exc:
@@ -390,33 +380,17 @@ def execute_outcomes(
 ) -> list[JobOutcome]:
     """Execute ``jobs`` fault-tolerantly; one typed outcome per job, in order.
 
-    Failures become :class:`~repro.experiments.outcomes.JobOutcome`\\ s
-    instead of killing the sweep (unless ``policy.fail_fast``, which
-    raises :class:`~repro.experiments.outcomes.RunFailureError` on the
-    first final failure).  ``on_outcome`` fires as each job settles -- the
-    workbench uses it to flush finished results to the persistent cache
-    immediately, so an interrupt loses nothing.  On
-    ``KeyboardInterrupt`` the pool's children are killed (no orphans)
-    and the interrupt re-raised.
-
-    ``should_stop`` is polled between jobs (and between scheduler
-    rounds in pool mode); when it turns true the executor raises
-    :class:`~repro.experiments.outcomes.ExecutionInterrupted` after
-    tearing the pool down -- already-settled outcomes were delivered
-    through ``on_outcome`` and are not lost.  The job service's
-    graceful shutdown rides on this.
-
+    ``LocalPoolExecutor(workers).execute(...)``: failures settle as
+    :class:`~repro.experiments.outcomes.JobOutcome`\\ s instead of
+    killing the sweep, ``on_outcome`` fires as each job settles, and
+    ``should_stop`` / ``policy.fail_fast`` interrupt as the
+    :class:`~repro.experiments.executor.Executor` protocol describes.
     Successful results are bit-identical to serial, fault-free execution
     regardless of retries, worker count or pool respawns.
-
-    Since the :class:`~repro.experiments.executor.Executor` protocol
-    landed this is a thin convenience over
-    :class:`~repro.experiments.executor.LocalPoolExecutor` in pure
-    per-job mode (no group batching -- this entry point never grouped).
     """
     from repro.experiments.executor import LocalPoolExecutor
 
-    return LocalPoolExecutor(workers=workers, batch_groups=False).execute(
+    return LocalPoolExecutor(workers=workers).execute(
         jobs,
         tracer=tracer,
         policy=policy,
@@ -428,10 +402,4 @@ def execute_outcomes(
 
 def dedupe_jobs(jobs: Iterable[RunJob]) -> list[RunJob]:
     """Drop duplicate jobs, preserving first-seen order."""
-    seen: set[RunJob] = set()
-    unique: list[RunJob] = []
-    for job in jobs:
-        if job not in seen:
-            seen.add(job)
-            unique.append(job)
-    return unique
+    return list(dict.fromkeys(jobs))

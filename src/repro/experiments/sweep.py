@@ -25,6 +25,9 @@ from the run cache, and the manifest supplies the "resumed N" note.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 from repro.experiments.cache import job_key
 from repro.experiments.figure import FigureData, annotate_failures
 from repro.experiments.harness import Workbench
@@ -32,7 +35,7 @@ from repro.experiments.manifest import SweepManifest
 from repro.experiments.outcomes import JobOutcome
 from repro.specs import ExperimentSpec, SpecError, policy_label
 
-__all__ = ["run_spec"]
+__all__ = ["run_spec", "spec_execution"]
 
 
 def _figure_runner(name: str):
@@ -90,25 +93,33 @@ def _prefetch_checkpointed(
         manifest.save(force=True)
 
 
+@contextmanager
+def spec_execution(bench: Workbench, spec: ExperimentSpec) -> Iterator[None]:
+    """Apply ``spec``'s ``execution`` block to a shared ``bench``, then restore it.
+
+    A spec naming the backend the bench already runs keeps the bench's
+    instance (the service's may be breaker-wrapped); another backend is
+    swapped in by name.
+    """
+    saved_execution, saved_executor = bench.execution, bench.executor
+    bench.execution = spec.execution_policy(saved_execution)
+    name = (spec.execution or {}).get("executor")
+    if name is not None and name != getattr(saved_executor, "name", saved_executor):
+        bench.executor = name
+    try:
+        yield
+    finally:
+        bench.execution, bench.executor = saved_execution, saved_executor
+
+
 def run_spec(
     bench: Workbench,
     spec: ExperimentSpec,
     manifest: SweepManifest | None = None,
 ) -> FigureData:
     """Execute ``spec`` on ``bench`` and return its figure table."""
-    saved_execution = bench.execution
-    saved_executor = bench.executor
-    bench.execution = spec.execution_policy(saved_execution)
-    spec_executor = (spec.execution or {}).get("executor")
-    if spec_executor is not None:
-        bench.executor = spec_executor
-    try:
+    with spec_execution(bench, spec):
         return _run_spec(bench, spec, manifest)
-    finally:
-        # The workbench is shared across a CLI invocation's tasks; one
-        # spec's execution overrides must not leak into the next.
-        bench.execution = saved_execution
-        bench.executor = saved_executor
 
 
 def _run_spec(

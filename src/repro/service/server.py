@@ -3,9 +3,9 @@
 Simulation-as-a-service over the existing stack, stdlib-only: the spec
 layer is the wire format (``repro.experiment_spec/1`` JSON bodies), the
 content-addressed :class:`~repro.experiments.cache.RunCache` is the
-dedupe substrate, the resilient executor
-(:meth:`~repro.experiments.harness.Workbench.prefetch` →
-:func:`~repro.experiments.parallel.execute_outcomes`) does the work, and
+dedupe substrate, the workbench's
+:class:`~repro.experiments.executor.Executor`
+(:meth:`~repro.experiments.harness.Workbench.prefetch`) does the work, and
 :class:`~repro.experiments.manifest.SweepManifest` journals per-job
 progress that the status and SSE endpoints replay.
 
@@ -74,7 +74,13 @@ from repro.experiments.cache import RunCache, job_key
 from repro.experiments.executor import BreakerExecutor, CircuitBreaker, LocalPoolExecutor
 from repro.experiments.harness import DEFAULT_INSTRUCTIONS, Workbench
 from repro.experiments.manifest import SweepManifest, default_manifest_dir
-from repro.experiments.outcomes import ExecutionInterrupted, ExecutionPolicy, JobOutcome
+from repro.experiments.outcomes import (
+    ExecutionInterrupted,
+    ExecutionPolicy,
+    JobOutcome,
+    RunFailure,
+)
+from repro.experiments.sweep import run_spec, spec_execution
 from repro.service.durable import DurableStore, default_store_dir
 from repro.service.errors import ServiceError
 from repro.service.quota import QuotaManager
@@ -686,18 +692,10 @@ class ReproServer:
             assert self._loop is not None
             self._loop.call_soon_threadsafe(self._fan_out, record, key, info)
 
-        with self._bench_lock:
-            saved = self.bench.execution
-            saved_executor = self.bench.executor
-            self.bench.execution = record.spec.execution_policy(saved)
-            spec_executor = (record.spec.execution or {}).get("executor")
-            if spec_executor is not None and spec_executor != getattr(
-                saved_executor, "name", saved_executor
-            ):
-                # A spec naming the backend the server already runs keeps
-                # the server's (possibly breaker-wrapped) instance; only a
-                # genuinely different backend is swapped in.
-                self.bench.executor = spec_executor
+        with self._bench_lock, spec_execution(self.bench, record.spec):
+            # The registry handed these jobs here to run: an earlier
+            # failure of the same key must not stand in for the retry.
+            self.bench.forget_failures(run_jobs)
             try:
                 self.bench.prefetch(
                     run_jobs,
@@ -705,8 +703,6 @@ class ReproServer:
                     should_stop=self._stop_event.is_set,
                 )
             finally:
-                self.bench.execution = saved
-                self.bench.executor = saved_executor
                 if manifest is not None:
                     manifest.save(force=True)
 
@@ -836,15 +832,19 @@ class ReproServer:
     # -- results --------------------------------------------------------
     def _build_result(self, record: ExperimentRecord) -> dict[str, Any]:
         """Worker thread: assemble the RunReport (+figure) for one record."""
-        from repro.experiments.sweep import run_spec
         from repro.specs import policy_label
         from repro.telemetry import RunReport
 
         with self._bench_lock:
+            # Failed cells (also those recovered from the journal) go into
+            # the failure ledger, so rendering reports them, not re-runs.
+            for cell in record.cells.values():
+                if cell.status == "failed":
+                    self.bench.record_failure(
+                        cell.job, RunFailure.from_dict(cell.failure or {})
+                    )
             # After a restart the memory cache starts empty: results for
             # cells settled before the crash live only in the run cache.
-            # Prefetch exactly the ok cells (never failed ones -- those
-            # would re-execute) to pull them back into memory.
             missing = [
                 cell.job
                 for cell in record.cells.values()

@@ -1,18 +1,23 @@
-"""The batched sweep backend's grouping, isolation and wiring contracts.
+"""The batched backend and the per-process trace memo: isolation and wiring.
 
 The production promise (see ``repro.experiments.batch``) is that a
-``sim="batched"`` grid point's result is a pure function of its job --
-independent of how a sweep is batched, ordered, or interleaved with other
-grid points.  These tests attack that promise directly:
+job's result is a pure function of the job -- independent of how a
+sweep is ordered, of which jobs ran before it in the same process, and
+of whether its trace's memo entry was cold or warm.  These tests attack
+that promise directly:
 
-* hypothesis drives arbitrary permutations and partitions of a grid and
-  demands every grouping produce results bit-identical to running each
-  job alone (and identical cache keys, so the run cache can never
-  observe the grouping either);
-* shared-state isolation: repeating a group, reordering it, or running a
-  member alone afterwards must not perturb anything -- the shared
+* hypothesis drives arbitrary permutations of a grid with the memo
+  cleared at arbitrary cut points, and demands results bit-identical to
+  running each job alone on a cold memo (and identical cache keys, so
+  the run cache can never observe the memo either);
+* shared-state isolation: repeating a grid, or running a member alone
+  afterwards, on a warm memo must not perturb anything -- the shared
   precompute, canonical warm suite and frozen-priority cache are
-  read-only to measurement;
+  read-only to measurement -- and event and batched jobs interleave
+  freely on one entry;
+* the memo does its job: one trace generation per trace for a serial
+  sweep, a timed-out-policy sweep and a mixed-engine prefetch, bounded
+  size, one generation across threads;
 * the wiring seams: promotion in :meth:`Workbench.job` / spec-built
   plans, rejection of unsupported jobs, and the grouping bypass under
   chaos injection.
@@ -21,6 +26,8 @@ grid points.  These tests attack that promise directly:
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,18 +35,24 @@ from hypothesis import strategies as st
 
 from repro.core.config import clustered_machine, monolithic_machine
 from repro.core.serialize import results_identical
+from repro.experiments import batch
 from repro.experiments.batch import (
+    TRACE_MEMO_SIZE,
     batch_key,
+    clear_trace_memo,
     execute_batched_job,
     fast_policy,
     grouping_blocked,
     plan_groups,
-    run_batched_group,
+    prepared_trace,
     supports_job,
 )
 from repro.experiments.cache import job_key
+from repro.experiments.fig14 import spec_figure14
 from repro.experiments.harness import Workbench
-from repro.experiments.parallel import RunJob, execute_job, prepare_workload
+from repro.experiments.outcomes import ExecutionPolicy
+from repro.experiments.parallel import RunJob, execute_job
+from repro.experiments.sweep import run_spec
 from repro.workloads.suite import get_kernel
 
 INSTRUCTIONS = 500
@@ -75,9 +88,26 @@ def _job(clusters: int, policy, *, warm: bool = True, sim: str = "batched") -> R
     )
 
 
-@pytest.fixture(scope="module")
-def prepared():
-    return prepare_workload("gcc", INSTRUCTIONS, 0)
+def _solo(job: RunJob):
+    """``job`` run alone on a cold memo: the baseline every order must hit."""
+    clear_trace_memo()
+    return execute_job(job)
+
+
+@pytest.fixture
+def vm_runs(monkeypatch):
+    """Count trace generations (memo misses), starting from a cold memo."""
+    calls: list[tuple] = []
+    prepare = batch.prepare_workload
+
+    def counted(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(batch, "prepare_workload", counted)
+    clear_trace_memo()
+    yield calls
+    clear_trace_memo()
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +116,12 @@ def grid_jobs():
 
 
 @pytest.fixture(scope="module")
-def solo_results(grid_jobs, prepared):
-    """Each grid job executed alone: the baseline every grouping must hit."""
-    return [execute_batched_job(job, prepared) for job in grid_jobs]
+def solo_results(grid_jobs):
+    return [_solo(job) for job in grid_jobs]
 
 
 # ---------------------------------------------------------------------------
-# Grouping / ordering invariance
+# Order and memo-state invariance
 # ---------------------------------------------------------------------------
 
 
@@ -102,29 +131,29 @@ def solo_results(grid_jobs, prepared):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_any_partition_and_order_is_bit_identical(
-    data, grid_jobs, prepared, solo_results
-):
-    """Any permutation, split into any contiguous groups, matches solo runs.
+def test_any_partition_and_order_is_bit_identical(data, grid_jobs, solo_results):
+    """Any permutation, split by memo clears at any cut points, matches solo runs.
 
-    This is the property that makes the batched backend safe to wire into
-    an arbitrary sweep: the scheduler (serial, pooled, resumed after a
-    crash) may group and order eligible jobs however it likes.
+    Each segment between cuts runs on its own cold-started memo, like a
+    group in a fresh worker process.  This is the property that makes
+    sharing a trace's state safe: a scheduler (serial, pooled,
+    distributed, resumed after a crash) may order and partition jobs
+    however it likes.
     """
     order = data.draw(st.permutations(range(len(grid_jobs))), label="order")
     cuts = data.draw(
         st.sets(st.integers(min_value=1, max_value=len(grid_jobs) - 1)),
         label="cuts",
     )
-    bounds = [0, *sorted(cuts), len(grid_jobs)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = [grid_jobs[i] for i in order[lo:hi]]
-        results = run_batched_group(chunk, prepared)
-        for i, result in zip(order[lo:hi], results):
-            assert results_identical(result, solo_results[i]), (
-                f"job {grid_jobs[i].config.name}/{grid_jobs[i].policy} diverged "
-                f"under grouping {bounds} order {order}"
-            )
+    clear_trace_memo()
+    for position, i in enumerate(order):
+        if position in cuts:
+            clear_trace_memo()
+        result = execute_job(grid_jobs[i])
+        assert results_identical(result, solo_results[i]), (
+            f"job {grid_jobs[i].config.name}/{grid_jobs[i].policy} diverged "
+            f"with cuts {sorted(cuts)} order {order}"
+        )
 
 
 def test_job_keys_ignore_grouping(grid_jobs):
@@ -138,33 +167,129 @@ def test_job_keys_ignore_grouping(grid_jobs):
     assert [job_key(job) for job in rebuilt] == keys
 
 
-def test_repeat_group_is_bit_identical(grid_jobs, prepared, solo_results):
-    """A second run of the same group (fresh warm suite, fresh frozen
-    cache) reproduces the first bit-for-bit: nothing accumulates."""
-    first = run_batched_group(grid_jobs, prepared)
-    second = run_batched_group(grid_jobs, prepared)
+def test_repeat_group_is_bit_identical(grid_jobs, solo_results):
+    """A second pass over the grid on the now-warm memo reproduces the
+    first bit-for-bit: nothing accumulates in the shared state."""
+    clear_trace_memo()
+    first = [execute_job(job) for job in grid_jobs]
+    second = [execute_job(job) for job in grid_jobs]
     for job, a, b, solo in zip(grid_jobs, first, second, solo_results):
         assert results_identical(a, b), f"{job.config.name}/{job.policy} drifted"
         assert results_identical(a, solo), f"{job.config.name}/{job.policy} != solo"
 
 
-def test_member_alone_after_group_is_unperturbed(grid_jobs, prepared, solo_results):
-    """Running the full group must not leak state into a later solo run."""
-    run_batched_group(grid_jobs, prepared)
+def test_member_alone_after_group_is_unperturbed(grid_jobs, solo_results):
+    """Running the full grid must not leak state into a later lone run
+    on the same, still-warm memo entry."""
+    clear_trace_memo()
+    for job in grid_jobs:
+        execute_job(job)
     for job, solo in zip(grid_jobs, solo_results):
-        again = execute_batched_job(job, prepared)
-        assert results_identical(again, solo)
+        assert results_identical(execute_job(job), solo)
 
 
-def test_cold_jobs_match_event_backend(prepared):
+def test_event_and_batched_jobs_interleave_on_one_trace(grid_jobs, solo_results):
+    """Event jobs (including an event-only policy) and batched jobs
+    alternating on one memo entry each match their cold solo run."""
+    event_jobs = [
+        _job(4, "affinity", sim="event"),
+        _job(2, "focused", sim="event"),
+        _job(8, "readiness", sim="event"),
+    ]
+    event_solo = [_solo(job) for job in event_jobs]
+    clear_trace_memo()
+    for k, job in enumerate(grid_jobs):
+        assert results_identical(execute_job(job), solo_results[k])
+        event = event_jobs[k % len(event_jobs)]
+        assert results_identical(execute_job(event), event_solo[k % len(event_jobs)])
+
+
+def test_cold_jobs_match_event_backend():
     """``warm=False`` batched runs train live from cold and are
     bit-identical to the event backend's cold runs -- no methodology
     drift exists for cold measurements."""
     for clusters, policy in ((2, "focused"), (4, "l")):
         cold = _job(clusters, policy, warm=False)
-        batched = execute_batched_job(cold, prepared)
-        event = execute_job(dataclasses.replace(cold, sim="event"), prepared)
+        batched = execute_job(cold)
+        event = execute_job(dataclasses.replace(cold, sim="event"))
         assert results_identical(batched, event), f"{clusters}cl {policy} cold"
+
+
+# ---------------------------------------------------------------------------
+# The memo prepares each trace once
+# ---------------------------------------------------------------------------
+
+
+def test_serial_figure14_with_job_timeout_prepares_each_trace_once(vm_runs):
+    """Under a job timeout every job runs on its own, through the per-job
+    path; the memo still shares each trace across its 11 grid points."""
+    bench = Workbench(
+        instructions=INSTRUCTIONS,
+        benchmarks=[get_kernel("gcc"), get_kernel("mcf")],
+        execution=ExecutionPolicy(job_timeout=600),
+    )
+    run_spec(bench, spec_figure14())
+    assert bench.simulations_run == 22
+    assert sorted(vm_runs) == [("gcc", INSTRUCTIONS, 0), ("mcf", INSTRUCTIONS, 0)]
+
+
+def test_prefetch_of_event_and_batched_jobs_prepares_the_trace_once(vm_runs):
+    bench = Workbench(instructions=INSTRUCTIONS, benchmarks=[get_kernel("gcc")])
+    spec = get_kernel("gcc")
+    jobs = [
+        bench.job(spec, _machine(4), "affinity"),
+        bench.job(spec, _machine(2), "l"),
+        bench.job(spec, _machine(2), "readiness"),
+        bench.job(spec, _machine(8), "p"),
+    ]
+    assert {job.sim for job in jobs} == {"event", "batched"}
+    assert bench.prefetch(jobs) == len(jobs)
+    assert vm_runs == [("gcc", INSTRUCTIONS, 0)]
+
+
+def test_memo_is_bounded_and_least_recently_used_goes_first(vm_runs):
+    traces = [("gcc", 200 + n, 0, "probabilistic") for n in range(TRACE_MEMO_SIZE + 1)]
+    for key in traces[:TRACE_MEMO_SIZE]:
+        prepared_trace(*key)
+    prepared_trace(*traces[0])  # refresh the oldest entry
+    prepared_trace(*traces[TRACE_MEMO_SIZE])  # evicts traces[1]
+    assert len(vm_runs) == TRACE_MEMO_SIZE + 1
+    prepared_trace(*traces[0])
+    assert len(vm_runs) == TRACE_MEMO_SIZE + 1
+    prepared_trace(*traces[1])
+    assert len(vm_runs) == TRACE_MEMO_SIZE + 2
+
+
+def test_threads_share_one_memo_entry(vm_runs, grid_jobs, solo_results, monkeypatch):
+    """Worker threads in one process (the distributed tests run them so)
+    build a trace's state once and still get solo-identical results."""
+    warmups: list[tuple] = []
+    warm_suite = batch.warm_suite
+
+    def counted_warm_suite(*args):
+        warmups.append(args)
+        return warm_suite(*args)
+
+    monkeypatch.setattr(batch, "warm_suite", counted_warm_suite)
+    results: dict[int, object] = {}
+
+    def run(index: int) -> None:
+        results[index] = execute_job(grid_jobs[index])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grid_jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' memo lookups finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(vm_runs) == len(warmups) == 1
+    for index, solo in enumerate(solo_results):
+        assert results_identical(results[index], solo)
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +336,16 @@ def test_plan_groups_min_size_sends_singletons_to_rest():
     assert groups == [] and rest == [lone]
 
 
-def test_execute_batched_job_rejects_unsupported(prepared):
+def test_execute_batched_job_rejects_unsupported():
     with pytest.raises(ValueError):
-        execute_batched_job(_job(2, "readiness"), prepared)
+        execute_batched_job(_job(2, "readiness"))
     with pytest.raises(ValueError):
-        execute_batched_job(
-            dataclasses.replace(_job(2, "l"), metrics=True), prepared
-        )
+        execute_batched_job(dataclasses.replace(_job(2, "l"), metrics=True))
 
 
-def test_run_batched_group_rejects_mixed_traces(prepared):
-    other = dataclasses.replace(_job(2, "l"), kernel="mcf")
+def test_execute_job_rejects_unknown_sim():
     with pytest.raises(ValueError):
-        run_batched_group([_job(2, "l"), other], prepared)
-
-
-def test_execute_job_rejects_unknown_sim(prepared):
-    with pytest.raises(ValueError):
-        execute_job(dataclasses.replace(_job(2, "l"), sim="warp"), prepared)
+        execute_job(dataclasses.replace(_job(2, "l"), sim="warp"))
 
 
 def test_supports_job_gates_metrics_and_policy():

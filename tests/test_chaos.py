@@ -16,6 +16,7 @@ from repro.core.serialize import results_identical
 from repro.core.simulator import SimulationDeadlock, SimulationDiverged
 from repro.experiments import parallel
 from repro.experiments.cache import RunCache, job_key
+from repro.experiments.fig14 import spec_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.manifest import SweepManifest, default_manifest_dir
 from repro.experiments.outcomes import (
@@ -149,9 +150,7 @@ class TestSerialRetries:
         bench2 = make_bench()
         stats = OutcomeStats()
         job = bench2.job(spec, bench2.clustered(2), "l")
-        outcome = run_job_outcome(
-            job, bench2.prepare(spec), policy=ExecutionPolicy(), stats=stats
-        )
+        outcome = run_job_outcome(job, policy=ExecutionPolicy(), stats=stats)
         assert outcome.ok and outcome.attempts == 2
         assert stats.retries == 1
         assert results_identical(outcome.result, clean)
@@ -407,6 +406,27 @@ class TestSweepTablesAndManifest:
         assert "FAILED(injected)" in str(figure)
         # ... and the workbench's own policy is restored afterwards.
         assert bench.execution.max_retries == 3
+
+    def test_figure_spec_does_not_rerun_a_failed_job(self):
+        # run_spec prefetches the spec's jobs, then the figure runner
+        # prefetches its plan again; the second pass must read the
+        # failure ledger instead of spending the retry budget twice.
+        attempts = []
+
+        def always_fails(job, attempt):
+            if job.config.num_clusters == 4 and job.policy == "s":
+                attempts.append(attempt)
+                return "error"
+            return None
+
+        install(always_fails)
+        bench = make_bench(
+            benchmarks=[get_kernel("gcc")], execution=ExecutionPolicy(max_retries=2)
+        )
+        figure = run_spec(bench, spec_figure14())
+        assert attempts == [1, 2, 3]
+        assert bench.exec_stats.failed == 1
+        assert "FAILED(injected)" in str(figure)
 
     def test_interrupted_sweep_resumes_unfinished_jobs_only(self, tmp_path):
         spec = _mini_spec()

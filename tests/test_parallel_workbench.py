@@ -10,6 +10,7 @@ paths.
 import pytest
 
 from repro.core.serialize import result_to_dict, results_identical
+from repro.experiments.batch import clear_trace_memo
 from repro.experiments.cache import RunCache, job_key
 from repro.experiments.harness import POLICY_NAMES, Workbench
 from repro.experiments.parallel import dedupe_jobs, execute_job, execute_outcomes
@@ -71,9 +72,13 @@ class TestParallelMatchesSerial:
         assert [r.config.num_clusters for r in results] == [2, 4, 8]
 
     def test_worker_regenerated_trace_matches_prepared(self):
+        # A job on a trace the workbench already prepared (a warm memo
+        # entry) matches one that regenerates it, as a fresh worker does.
         bench = Workbench(instructions=600, benchmarks=[get_kernel("vpr")])
         job = bench.job(get_kernel("vpr"), bench.clustered(4), "l")
-        with_prepared = execute_job(job, bench.prepare(get_kernel("vpr")))
+        bench.prepare(get_kernel("vpr"))
+        with_prepared = execute_job(job)
+        clear_trace_memo()
         regenerated = execute_job(job)
         assert results_identical(with_prepared, regenerated)
 

@@ -509,6 +509,55 @@ class TestChaos:
         assert report["totals"]["failed"] == 1
         assert report["failures"][0]["kind"] == "injected"
 
+    def test_result_does_not_rerun_a_failed_job(self, server):
+        # /result renders the figure through run_spec on the shared bench.
+        # The failed cell must render from the failure ledger: re-running
+        # it (the fault has cleared by then) would burn another attempt
+        # and embed a figure contradicting the report.
+        spec = make_spec(
+            kernels=("gcc",), clusters=(2,), instructions=500,
+            execution={"max_retries": 1},
+        )
+        client = Client(server.url)
+        chaos.install(chaos.ChaosConfig(rules=(chaos.FaultRule(mode="error"),)))
+        try:
+            sub = client.submit(spec)
+            final = client.wait(sub["id"])
+        finally:
+            chaos.uninstall()
+        assert final["jobs"]["failed"] == 1
+        settled = server.bench.exec_stats.to_dict()
+        report = client.result(sub["id"])
+        assert server.bench.exec_stats.to_dict() == settled  # no new attempt
+        assert server.bench.simulations_run == 0
+        assert report["totals"]["failed"] == 1
+        (row,) = report["figure"]["rows"]
+        assert row[:4] == ["gcc", "2x4w", "l", "FAILED(injected)"]
+
+    def test_result_after_restart_does_not_rerun_a_failed_job(self, tmp_path):
+        # After a restart the ledger starts empty; the journal's failed
+        # cells must still keep rendering from re-running the job.
+        cache_dir = tmp_path / "cache"
+        spec = make_spec(
+            kernels=("gcc",), clusters=(2,), instructions=500,
+            execution={"max_retries": 0},
+        )
+        chaos.install(chaos.ChaosConfig(rules=(chaos.FaultRule(mode="error"),)))
+        try:
+            with BackgroundServer(workers=0, cache_dir=cache_dir) as first:
+                client = Client(first.url)
+                sub = client.submit(spec)
+                assert client.wait(sub["id"])["jobs"]["failed"] == 1
+        finally:
+            chaos.uninstall()
+        with BackgroundServer(workers=0, cache_dir=cache_dir) as second:
+            report = Client(second.url).result(sub["id"])
+            assert second.bench.exec_stats.to_dict()["executed"] == 0
+            assert second.bench.simulations_run == 0
+        assert report["totals"]["failed"] == 1
+        (row,) = report["figure"]["rows"]
+        assert row[:4] == ["gcc", "2x4w", "l", "FAILED(injected)"]
+
 
 # ---------------------------------------------------------------------------
 # Stats reconciliation
