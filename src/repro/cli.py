@@ -147,13 +147,11 @@ def _specs_status(paths: list[str], cache_dir: str | None) -> int:
             print(f"FAIL {path}: {exc}")
             status = 1
             continue
-        digest = spec_hash(spec)
-        manifest_path = directory / f"{digest}.json"
-        if not manifest_path.exists():
+        manifest = SweepManifest.open(directory, spec_hash(spec), spec.name)
+        if not manifest.path.exists():
             print(f"--   {path}: {spec.name!r} has no sweep manifest (never run, "
                   "fully cached on first pass, or run with --no-resume)")
             continue
-        manifest = SweepManifest.open(directory, digest, spec.name)
         summary = manifest.summary()
         line = (
             f"ok   {path}: {spec.name!r} recorded {summary['jobs']} job(s): "

@@ -49,6 +49,7 @@ from repro.distwork.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import RunFailure
 
 __all__ = ["DirCoordinator", "TaskBoard", "TcpCoordinator"]
@@ -412,8 +413,4 @@ class DirCoordinator:
         self.stop()
 
     def _write_json(self, path: pathlib.Path, payload: dict[str, Any]) -> None:
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, separators=(",", ":")), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(payload, separators=(",", ":")))

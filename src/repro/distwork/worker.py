@@ -65,6 +65,7 @@ from repro.distwork.protocol import (
     send_frame,
 )
 from repro.experiments.cache import RunCache
+from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import ExecutionInterrupted, JobOutcome
 from repro.experiments.parallel import run_job_outcome
 
@@ -404,13 +405,10 @@ def _run_dir_worker(
         outcome = _run_dir_task(active_path, task, cache)
         if outcome is None:
             continue  # lease lost mid-run; the task settled elsewhere
-        result_path = results_dir / active_path.name
-        tmp = result_path.with_name(result_path.name + f".tmp-{os.getpid()}")
-        tmp.write_text(
+        atomic_write(
+            results_dir / active_path.name,
             json.dumps({"id": task["id"], "outcome": outcome}, separators=(",", ":")),
-            encoding="utf-8",
         )
-        os.replace(tmp, result_path)
         try:
             active_path.unlink()
         except FileNotFoundError:  # stolen while we finished; settle wins

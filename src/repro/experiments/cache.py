@@ -13,9 +13,10 @@ Entries are gzipped JSON files (one per run) under ``~/.cache/repro`` by
 default, overridable with ``--cache-dir`` / ``REPRO_CACHE_DIR`` /
 ``XDG_CACHE_HOME``.  The cache is crash-safe and self-healing:
 
-* writes go through a pid-tagged temp file and ``os.replace``, so a
-  worker killed mid-store can never leave a truncated entry under a
-  real key, and concurrent invocations can share a directory safely;
+* writes go through a temp file tagged with the pid and thread id and
+  ``os.replace``, so a worker killed mid-store can never leave a
+  truncated entry under a real key, and concurrent invocations (and
+  threads) can share a directory safely;
 * a corrupt, truncated or schema-stale entry never propagates an
   exception out of :meth:`RunCache.load` -- it is **quarantined** to a
   ``*.corrupt`` sibling (with a single warning per cache instance), the
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.results import SimulationResult
 from repro.core.serialize import config_to_dict, result_from_dict, result_to_dict
+from repro.experiments.journal import temp_path
 from repro.specs.policy import policy_label, resolve_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness -> parallel)
@@ -217,20 +219,17 @@ class RunCache:
             },
             "result": result_to_dict(result),
         }
-        # Pid-tagged sibling + atomic rename: a worker killed mid-write
-        # leaves at worst an orphaned ``.tmp-<pid>`` file (cleaned up on
-        # the next successful store of the same key by the same pid, and
-        # skipped by lookups), never a truncated entry under a real key.
-        tmp_name = str(path) + f".tmp-{os.getpid()}"
+        # Private sibling + atomic rename: a worker killed mid-write
+        # leaves at worst an orphaned ``.tmp-<pid>-<thread>`` file (skipped
+        # by lookups), never a truncated entry under a real key, and two
+        # threads storing one key never share a temp file.
+        tmp = temp_path(path)
         try:
-            with gzip.open(tmp_name, "wt", encoding="utf-8") as handle:
+            with gzip.open(tmp, "wt", encoding="utf-8") as handle:
                 json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp_name, path)
+            os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
+            tmp.unlink(missing_ok=True)
             raise
         self.stores += 1
 

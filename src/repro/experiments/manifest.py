@@ -1,10 +1,12 @@
 """Sweep manifests: durable per-job outcome records for checkpoint/resume.
 
-A :class:`SweepManifest` is a small JSON file keyed by the sweep's
-:func:`~repro.specs.spec_hash` that records, for every job the sweep
-enumerates, its last known :class:`~repro.experiments.outcomes.JobOutcome`
-(status, failure kind, attempts, elapsed).  The spec runner updates it as
-each job settles and saves atomically, so
+A :class:`SweepManifest` is a :class:`~repro.experiments.journal.Journal`
+at ``<cache>/manifests/<spec_hash>.jsonl`` (keyed by the sweep's
+:func:`~repro.specs.spec_hash`) with one self-describing line per
+settled job: schema, spec hash, job key and the job's
+:class:`~repro.experiments.outcomes.JobOutcome` (status, failure kind,
+attempts, elapsed).  On replay the last line for a job key wins.  The
+spec runner appends each job's line as it settles, so
 
 * an interrupted ``repro --spec`` rerun knows exactly which jobs already
   finished (their results come back from the persistent
@@ -12,30 +14,34 @@ each job settles and saves atomically, so
   accounting and the "resumed N of M" status line);
 * jobs that *failed* last time are visible -- and re-attempted -- on the
   next run instead of silently vanishing from the table;
-* a post-mortem can read what happened per job without replaying logs.
+* concurrent writers of one manifest keep each other's lines.
 
 Manifests are advisory: losing one (or the ``--no-resume`` flag) merely
 forfeits the accounting -- correctness always rests on the
-content-addressed cache and the deterministic executor.  A corrupt
-manifest is quarantined to ``*.corrupt`` and treated as absent, mirroring
-the run cache's self-healing.
+content-addressed cache and the deterministic executor.  A damaged line
+is quarantined to ``*.jsonl.corrupt`` with one warning per open.
+Single-document ``<spec_hash>.json`` manifests (``repro.sweep_manifest/1``)
+are not read.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import threading
 import warnings
 from typing import TYPE_CHECKING, Any
+
+from repro.experiments.journal import Journal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.outcomes import JobOutcome
 
 __all__ = ["MANIFEST_SCHEMA", "SweepManifest", "default_manifest_dir"]
 
-MANIFEST_SCHEMA = "repro.sweep_manifest/1"
+MANIFEST_SCHEMA = "repro.sweep_manifest/2"
+
+# Fields every line carries besides the job's own entry.
+_HEADER = ("schema", "spec_hash", "key")
 
 
 def default_manifest_dir(cache_root: pathlib.Path) -> pathlib.Path:
@@ -53,12 +59,11 @@ class SweepManifest:
         self.entries: dict[str, dict[str, Any]] = {}
         # Jobs recorded "ok" by a *previous* invocation: the resume set.
         self.resumed: frozenset[str] = frozenset()
-        self._dirty = False
+        self._journal = Journal(self.path)
+        self._unsaved: list[dict[str, Any]] = []
         # record()/save() may be driven from multiple threads of one
         # process (the job service journals from executor callback
-        # threads); the lock makes record-then-save atomic per caller and
-        # the thread-tagged temp name below keeps concurrent saves from
-        # clobbering each other's temp file mid-rename.
+        # threads) while another thread reads the summary.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -66,39 +71,29 @@ class SweepManifest:
     def open(
         cls, directory: pathlib.Path | str, spec_hash: str, name: str = ""
     ) -> "SweepManifest":
-        """Load the manifest for ``spec_hash`` (fresh if absent/corrupt)."""
+        """Replay the manifest for ``spec_hash`` (empty if absent)."""
         directory = pathlib.Path(directory)
-        manifest = cls(directory / f"{spec_hash}.json", spec_hash, name)
+        manifest = cls(directory / f"{spec_hash}.jsonl", spec_hash, name)
         manifest._load()
         return manifest
 
     def _load(self) -> None:
-        try:
-            data = json.loads(self.path.read_text())
-            if data.get("schema") != MANIFEST_SCHEMA:
-                raise ValueError(f"unknown manifest schema {data.get('schema')!r}")
-            if data.get("spec_hash") != self.spec_hash:
-                raise ValueError("manifest spec_hash mismatch")
-            entries = data.get("jobs", {})
-            if not isinstance(entries, dict):
-                raise ValueError("manifest jobs must be an object")
-        except FileNotFoundError:
-            return
-        except (OSError, ValueError, TypeError) as exc:
-            quarantine = self.path.with_name(self.path.name + ".corrupt")
-            try:
-                os.replace(self.path, quarantine)
-            except OSError:  # pragma: no cover - raced or unwritable dir
-                pass
+        for line in self._journal.read():
+            key = line.get("key")
+            ours = line.get("schema") == MANIFEST_SCHEMA and line.get("spec_hash") == self.spec_hash
+            if not (ours and isinstance(key, str)):
+                self._journal.quarantine(line)
+                continue
+            self.entries[key] = {k: v for k, v in line.items() if k not in _HEADER}
+        if self._journal.quarantined:
             warnings.warn(
-                f"quarantined corrupt sweep manifest {quarantine} "
-                f"({type(exc).__name__}: {exc}); starting the sweep record "
-                "afresh (results still resume from the run cache)",
+                f"quarantined {self._journal.quarantined} damaged line(s) of "
+                f"sweep manifest {self.path} to {self._journal.quarantine_path}; "
+                "those jobs lose their record (results still resume from the "
+                "run cache)",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return
-        self.entries = {str(k): dict(v) for k, v in entries.items()}
         self.resumed = frozenset(
             key for key, entry in self.entries.items() if entry.get("status") == "ok"
         )
@@ -115,23 +110,27 @@ class SweepManifest:
         }
         if outcome.failure is not None:
             entry["failure"] = outcome.failure.to_dict()
+        line = {"schema": MANIFEST_SCHEMA, "spec_hash": self.spec_hash, "key": key, **entry}
         with self._lock:
             self.entries[key] = entry
-            self._dirty = True
+            self._unsaved.append(line)
 
     def completed(self) -> int:
-        return sum(1 for e in self.entries.values() if e.get("status") == "ok")
+        with self._lock:
+            return sum(e.get("status") == "ok" for e in self.entries.values())
 
     def failed(self) -> int:
-        return sum(1 for e in self.entries.values() if e.get("status") == "failed")
+        with self._lock:
+            return sum(e.get("status") == "failed" for e in self.entries.values())
 
     def summary(self) -> dict[str, int]:
-        return {
-            "jobs": len(self.entries),
-            "completed": self.completed(),
-            "failed": self.failed(),
-            "resumed": len(self.resumed),
-        }
+        with self._lock:
+            return {
+                "jobs": len(self.entries),
+                "completed": self.completed(),
+                "failed": self.failed(),
+                "resumed": len(self.resumed),
+            }
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -143,29 +142,15 @@ class SweepManifest:
         }
 
     def save(self, force: bool = False) -> None:
-        """Atomically persist (tmp + rename); no-op when nothing changed.
+        """Append the lines recorded since the last save; never rewrites.
 
-        Safe against concurrent savers in the same process (the lock
-        serializes them) *and* across processes (the temp name is tagged
-        with pid and thread id, so two writers can never truncate each
-        other's in-progress file; last rename wins, and every rename
-        publishes a complete, parseable document).
+        A no-op when nothing is new, unless ``force`` -- which still
+        creates the file, so a sweep that settled nothing leaves a record
+        that it ran.
         """
         with self._lock:
-            if not (self._dirty or force):
+            if not (self._unsaved or force):
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(
-                self.path.name
-                + f".tmp-{os.getpid()}-{threading.get_ident()}"
-            )
-            try:
-                tmp.write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except FileNotFoundError:
-                    pass
-                raise
-            self._dirty = False
+            self._journal.append(*self._unsaved)
+            self._unsaved.clear()

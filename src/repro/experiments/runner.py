@@ -50,7 +50,7 @@ from repro.experiments.executor import executor_names
 from repro.experiments.harness import DEFAULT_INSTRUCTIONS, Workbench
 from repro.experiments.manifest import SweepManifest, default_manifest_dir
 from repro.experiments.outcomes import ExecutionPolicy, RunFailureError
-from repro.experiments.sweep import run_spec
+from repro.experiments.sweep import run_report, run_spec
 from repro.specs import ExperimentSpec, SpecError, load_spec, spec_hash
 from repro.workloads.suite import get_kernel, suite_names
 
@@ -199,23 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON document on stdout (status lines go to stderr)",
     )
     return parser
-
-
-def _report_runs(bench: Workbench, name: str, spec: ExperimentSpec | None = None):
-    """The (job, result) pairs experiment ``name`` consumed, in plan order."""
-    if spec is not None:
-        jobs = spec.jobs(bench)
-    else:
-        plan = PLANS.get(name)
-        if plan is None:
-            return bench.cached_results()
-        jobs = plan(bench)
-    pairs = []
-    for job in jobs:
-        result = bench.result_for(job)
-        if result is not None:
-            pairs.append((job, result))
-    return pairs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,8 +375,6 @@ def _run_tasks(
                     json.dumps(figure.to_dict(), indent=2) + "\n"
                 )
         if args.metrics:
-            from repro.telemetry import RunReport
-
             if args.seeds > 1:
                 print(
                     f"[{name}: run report skipped -- --metrics reports "
@@ -401,29 +382,11 @@ def _run_tasks(
                     file=status_stream,
                 )
             else:
-                from repro.specs import policy_label
-
-                failure_rows = [
-                    {
-                        "kernel": o.job.kernel,
-                        "config": o.job.config.name,
-                        "policy": policy_label(o.job.policy),
-                        **o.failure.to_dict(),
-                    }
-                    for o in bench.failed_outcomes()
-                ]
-                report = RunReport.from_runs(
+                jobs = spec.jobs(bench) if spec is not None else PLANS[name](bench)
+                report = run_report(
+                    bench,
                     name,
-                    _report_runs(bench, name, spec),
-                    failures=failure_rows,
-                    workbench={
-                        "instructions": bench.instructions,
-                        "seed": bench.seed,
-                        "loc_mode": bench.loc_mode,
-                        "workers": bench.workers,
-                        "sim": bench.sim,
-                        "benchmarks": [spec.name for spec in bench.benchmarks],
-                    },
+                    jobs,
                     figure=figure.to_dict(),
                     tracer=tracer,
                     cache_stats=cache.stats() if cache else None,

@@ -17,7 +17,7 @@ cache + the fault-tolerant executor), then either
 Checkpoint/resume: pass a :class:`~repro.experiments.manifest.
 SweepManifest` (the CLI opens one per spec, keyed by
 :func:`~repro.specs.spec_hash`, whenever the persistent cache is on) and
-every settled job is recorded and atomically persisted as it completes.
+every settled job is recorded and appended to it as it completes.
 A sweep killed mid-flight -- ``KeyboardInterrupt`` included -- therefore
 resumes re-executing only its unfinished jobs: finished results return
 from the run cache, and the manifest supplies the "resumed N" note.
@@ -26,7 +26,7 @@ from the run cache, and the manifest supplies the "resumed N" note.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.experiments.cache import job_key
 from repro.experiments.figure import FigureData, annotate_failures
@@ -35,7 +35,10 @@ from repro.experiments.manifest import SweepManifest
 from repro.experiments.outcomes import JobOutcome
 from repro.specs import ExperimentSpec, SpecError, policy_label
 
-__all__ = ["run_spec", "spec_execution"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry import RunReport
+
+__all__ = ["run_report", "run_spec", "spec_execution"]
 
 
 def _figure_runner(name: str):
@@ -74,10 +77,10 @@ def _prefetch_checkpointed(
 ) -> None:
     """Prefetch ``jobs``, journaling each settled outcome to ``manifest``.
 
-    The manifest is saved after every settled job (atomic tmp+rename, a
-    few hundred bytes per entry -- noise next to a simulation) and force-
-    saved on the way out of *any* exit path, so an interrupt cannot lose
-    the record of what already finished.
+    The manifest is saved after every settled job (one appended line of
+    a few hundred bytes, whatever the sweep's size) and force-saved on
+    the way out of *any* exit path, so an interrupt cannot lose the
+    record of what already finished.
     """
     if manifest is None:
         bench.prefetch(jobs)
@@ -177,3 +180,36 @@ def _run_spec(
                 "completed by an earlier run (results from the run cache)"
             )
     return figure
+
+
+def run_report(bench: Workbench, name: str, jobs: list, **fields) -> RunReport:
+    """The :class:`~repro.telemetry.RunReport` of experiment ``name``.
+
+    Only ``jobs`` -- the experiment's own, in plan order -- contribute
+    runs and failure rows, so a report never lists what another
+    experiment on the same bench ran or lost.  ``fields`` pass through to
+    :meth:`~repro.telemetry.RunReport.from_runs`.
+    """
+    from repro.telemetry import RunReport
+
+    runs = [(job, bench.result_for(job)) for job in jobs if bench.result_for(job) is not None]
+    failed = (bench.failure_for(job) for job in dict.fromkeys(jobs))
+    failures = [
+        {
+            "kernel": o.job.kernel,
+            "config": o.job.config.name,
+            "policy": policy_label(o.job.policy),
+            **o.failure.to_dict(),
+        }
+        for o in failed
+        if o is not None
+    ]
+    workbench = {
+        "instructions": bench.instructions,
+        "seed": bench.seed,
+        "loc_mode": bench.loc_mode,
+        "workers": bench.workers,
+        "sim": bench.sim,
+        "benchmarks": [spec.name for spec in bench.benchmarks],
+    }
+    return RunReport.from_runs(name, runs, failures=failures, workbench=workbench, **fields)

@@ -10,30 +10,22 @@ settlement, every terminal state, and quota balances, so a restarted
 server can replay the file and owe its clients exactly what the dead
 server owed them.
 
-Durability model -- tuned to the failure the acceptance test injects
-(``kill -9`` of the *process*, not power loss):
-
-* **Appends** are one JSON object per line, written and flushed
-  immediately.  Data handed to the OS survives SIGKILL; ``fsync`` (which
-  only adds power-loss protection) is deliberately skipped to keep the
-  settle hot path cheap.
-* **Rewrites** (:meth:`DurableStore.compact`) go through the same
-  tmp-file + :func:`os.replace` dance as
-  :class:`~repro.experiments.cache.RunCache` and
-  :class:`~repro.experiments.manifest.SweepManifest`: readers never see
-  a half-written journal.
-* **Corruption** is quarantined, not fatal: a torn final line (the
-  SIGKILL landed mid-append) or a damaged entry is copied to
-  ``journal.jsonl.corrupt`` and skipped; everything parseable is
-  recovered and the damaged jobs simply recompute.  This mirrors the
-  run cache's quarantine discipline one layer up.
+Every file here is a :class:`~repro.experiments.journal.Journal`, so
+the durability model is the journal's, tuned to the failure the
+acceptance test injects (``kill -9`` of the *process*, not power loss):
+each append reaches the OS before it returns, without ``fsync``;
+compaction rewrites atomically; and a torn final line (the SIGKILL
+landed mid-append) or a damaged entry is quarantined to
+``<file>.corrupt`` while everything parseable is recovered, so the
+damaged jobs simply recompute.
 
 Layout::
 
     <cache>/service/
-        journal.jsonl            # submit / settle / terminal / evict / quota
-        journal.jsonl.corrupt    # quarantined damaged lines (forensics)
-        events/<exp-id>.jsonl    # spilled SSE journal entries, replayable
+        journal.jsonl                  # submit / settle / terminal / evict / quota
+        journal.jsonl.corrupt          # quarantined damaged lines (forensics)
+        events/<exp-id>.jsonl          # spilled SSE journal entries, replayable
+        events/<exp-id>.jsonl.corrupt  # quarantined damaged spill lines
 
 Event spill files give ``Last-Event-ID`` its cross-restart meaning: the
 in-memory journal keeps only a bounded tail, older entries live here,
@@ -43,12 +35,13 @@ reconnecting after a server restart replays the exact suffix it missed.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro.experiments.journal import Journal
 
 __all__ = [
     "DurableStore",
@@ -97,12 +90,76 @@ class ReplayResult:
     evicted: int = 0
 
 
+# -- one entry builder per type, shared by record_* and compact() -----
+
+
+def _submit_entry(exp_id, client, priority, created, spec) -> dict[str, Any]:
+    return {"type": "submit", "schema": STORE_SCHEMA, "id": exp_id, "client": client,
+            "priority": int(priority), "created": created, "spec": spec}
+
+
+def _settle_entry(exp_id, key, ok, source, failure=None) -> dict[str, Any]:
+    entry = {"type": "settle", "id": exp_id, "key": key, "ok": bool(ok), "source": source}
+    return entry if failure is None else {**entry, "failure": failure}
+
+
+def _terminal_entry(exp_id, status, finished, message="") -> dict[str, Any]:
+    entry = {"type": "terminal", "id": exp_id, "status": status, "finished": finished}
+    return {**entry, "message": message} if message else entry
+
+
+def _quota_entry(balances: dict[str, float]) -> dict[str, Any]:
+    return {"type": "quota", "balances": dict(balances)}
+
+
+def _apply(entry: dict[str, Any], experiments: dict[str, StoredExperiment],
+           result: ReplayResult) -> None:
+    """Fold one journal entry into the replay; raises on a malformed one."""
+    kind = entry.get("type")
+    if kind == "submit":
+        exp = StoredExperiment(
+            id=str(entry["id"]),
+            client=str(entry.get("client", "anonymous")),
+            priority=int(entry.get("priority", 0)),
+            created=float(entry.get("created", 0.0)),
+            spec_payload=dict(entry["spec"]),
+        )
+        experiments[exp.id] = exp
+    elif kind == "settle":
+        exp = experiments.get(str(entry["id"]))
+        # First settle wins, matching note_settled().
+        if exp is not None and entry["key"] not in exp.settles:
+            exp.settles[str(entry["key"])] = {
+                "ok": bool(entry["ok"]),
+                "source": str(entry.get("source", "")),
+                "failure": entry.get("failure"),
+            }
+    elif kind == "terminal":
+        exp = experiments.get(str(entry["id"]))
+        if exp is not None:
+            exp.terminal = {
+                "status": str(entry["status"]),
+                "finished": entry.get("finished"),
+                "message": str(entry.get("message", "")),
+            }
+    elif kind == "evict":
+        if experiments.pop(str(entry["id"]), None) is not None:
+            result.evicted += 1
+    elif kind == "quota":
+        balances = entry.get("balances")
+        if not isinstance(balances, dict):
+            raise ValueError("quota entry without balances")
+        result.quota = {str(k): float(v) for k, v in balances.items()}
+    else:
+        raise ValueError(f"unknown entry type {kind!r}")
+
+
 class DurableStore:
     """Append-only journal of service state under one directory.
 
     Thread-safe: the server appends from the event loop *and* (via the
     workbench settle callback path) from worker threads; one lock
-    serializes every append so interleaved lines stay whole.
+    serializes every append, replay and rewrite.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -110,18 +167,18 @@ class DurableStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / _EVENTS_DIR).mkdir(exist_ok=True)
         self._lock = threading.RLock()
-        self._journal_file = None
+        self._journal = Journal(self.root / _JOURNAL)
         self.appends = 0
         self.quarantined = 0
 
     # -- paths ----------------------------------------------------------
     @property
     def journal_path(self) -> Path:
-        return self.root / _JOURNAL
+        return self._journal.path
 
     @property
     def quarantine_path(self) -> Path:
-        return self.root / f"{_JOURNAL}.corrupt"
+        return self._journal.quarantine_path
 
     def events_path(self, exp_id: str) -> Path:
         # Experiment ids are server-minted ("exp-000042"), never client
@@ -131,21 +188,12 @@ class DurableStore:
             raise ValueError(f"unsafe experiment id for events file: {exp_id!r}")
         return self.root / _EVENTS_DIR / f"{exp_id}.jsonl"
 
-    # -- low-level append ----------------------------------------------
+    # -- write-ahead API -------------------------------------------------
     def _append(self, entry: dict[str, Any]) -> None:
-        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
         with self._lock:
-            if self._journal_file is None or self._journal_file.closed:
-                self._journal_file = open(
-                    self.journal_path, "a", encoding="utf-8"
-                )
-            self._journal_file.write(line + "\n")
-            # Flush user-space buffers: the write now belongs to the OS
-            # and survives SIGKILL of this process.
-            self._journal_file.flush()
+            self._journal.append(entry)
             self.appends += 1
 
-    # -- write-ahead API -------------------------------------------------
     def record_submit(
         self,
         exp_id: str,
@@ -155,17 +203,7 @@ class DurableStore:
         spec_payload: dict[str, Any],
     ) -> None:
         """Journal an accepted submission (before any job executes)."""
-        self._append(
-            {
-                "type": "submit",
-                "schema": STORE_SCHEMA,
-                "id": exp_id,
-                "client": client,
-                "priority": int(priority),
-                "created": created,
-                "spec": spec_payload,
-            }
-        )
+        self._append(_submit_entry(exp_id, client, priority, created, spec_payload))
 
     def record_settle(
         self,
@@ -176,16 +214,7 @@ class DurableStore:
         failure: dict[str, Any] | None = None,
     ) -> None:
         """Journal one settled job cell of one experiment."""
-        entry: dict[str, Any] = {
-            "type": "settle",
-            "id": exp_id,
-            "key": key,
-            "ok": bool(ok),
-            "source": source,
-        }
-        if failure is not None:
-            entry["failure"] = failure
-        self._append(entry)
+        self._append(_settle_entry(exp_id, key, ok, source, failure))
 
     def record_terminal(
         self,
@@ -195,142 +224,65 @@ class DurableStore:
         message: str = "",
     ) -> None:
         """Journal an experiment reaching ``done`` / ``error``."""
-        entry: dict[str, Any] = {
-            "type": "terminal",
-            "id": exp_id,
-            "status": status,
-            "finished": finished,
-        }
-        if message:
-            entry["message"] = message
-        self._append(entry)
+        self._append(_terminal_entry(exp_id, status, finished, message))
 
     def record_evict(self, exp_id: str) -> None:
-        """Journal a history eviction and drop the spilled events file."""
-        self._append({"type": "evict", "id": exp_id})
-        try:
-            self.events_path(exp_id).unlink()
-        except FileNotFoundError:
-            pass
+        """Journal a history eviction and drop the spilled events files."""
+        with self._lock:
+            self._append({"type": "evict", "id": exp_id})
+            spill = Journal(self.events_path(exp_id))
+            spill.path.unlink(missing_ok=True)
+            spill.quarantine_path.unlink(missing_ok=True)
 
     def record_quota(self, balances: dict[str, float]) -> None:
         """Journal a quota-balance snapshot (last entry wins on replay)."""
-        self._append({"type": "quota", "balances": dict(balances)})
+        self._append(_quota_entry(balances))
 
     # -- event spill ------------------------------------------------------
     def append_event(self, exp_id: str, entry: dict[str, Any]) -> None:
         """Spill one SSE journal entry for ``exp_id`` to disk."""
-        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
         with self._lock:
-            with open(self.events_path(exp_id), "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            Journal(self.events_path(exp_id)).append(entry)
 
     def load_events(self, exp_id: str) -> list[dict[str, Any]]:
         """All spilled events for ``exp_id``, in append (= id) order.
 
-        Damaged lines are skipped (a torn tail event is simply re-lost;
-        SSE ids stay consistent because replay re-derives the journal
-        from settled state, not from this file).
+        Damaged lines are quarantined and the file is rewritten without
+        them, so they are counted once (a torn tail event is simply
+        re-lost; SSE ids stay consistent because replay re-derives the
+        journal from settled state, not from this file).
         """
-        path = self.events_path(exp_id)
-        if not path.exists():
-            return []
-        entries: list[dict[str, Any]] = []
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    entry = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(entry, dict) and "id" in entry:
+        with self._lock:
+            spill = Journal(self.events_path(exp_id))
+            entries = []
+            for entry in spill.read():
+                if "id" in entry:
                     entries.append(entry)
-        return entries
+                else:
+                    spill.quarantine(entry)
+            if spill.quarantined:
+                spill.rewrite(entries)
+                self.quarantined += spill.quarantined
+            return entries
 
     def event_count(self, exp_id: str) -> int:
         return len(self.load_events(exp_id))
 
     # -- replay -----------------------------------------------------------
-    def _quarantine(self, raw_line: str) -> None:
-        with open(self.quarantine_path, "a", encoding="utf-8") as fh:
-            fh.write(raw_line.rstrip("\n") + "\n")
-        self.quarantined += 1
-
     def replay(self) -> ReplayResult:
         """Reconstruct journaled state; quarantine what cannot be parsed."""
         result = ReplayResult()
-        if not self.journal_path.exists():
-            return result
         experiments: dict[str, StoredExperiment] = {}
-        order: list[str] = []
         with self._lock:
-            with open(self.journal_path, encoding="utf-8") as fh:
-                for raw in fh:
-                    stripped = raw.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        entry = json.loads(stripped)
-                    except json.JSONDecodeError:
-                        self._quarantine(raw)
-                        result.quarantined += 1
-                        continue
-                    if not isinstance(entry, dict):
-                        self._quarantine(raw)
-                        result.quarantined += 1
-                        continue
-                    kind = entry.get("type")
-                    try:
-                        if kind == "submit":
-                            exp = StoredExperiment(
-                                id=str(entry["id"]),
-                                client=str(entry.get("client", "anonymous")),
-                                priority=int(entry.get("priority", 0)),
-                                created=float(entry.get("created", 0.0)),
-                                spec_payload=dict(entry["spec"]),
-                            )
-                            if exp.id not in experiments:
-                                order.append(exp.id)
-                            experiments[exp.id] = exp
-                        elif kind == "settle":
-                            exp = experiments.get(str(entry["id"]))
-                            # First settle wins, matching note_settled().
-                            if exp is not None and entry["key"] not in exp.settles:
-                                exp.settles[str(entry["key"])] = {
-                                    "ok": bool(entry["ok"]),
-                                    "source": str(entry.get("source", "")),
-                                    "failure": entry.get("failure"),
-                                }
-                        elif kind == "terminal":
-                            exp = experiments.get(str(entry["id"]))
-                            if exp is not None:
-                                exp.terminal = {
-                                    "status": str(entry["status"]),
-                                    "finished": entry.get("finished"),
-                                    "message": str(entry.get("message", "")),
-                                }
-                        elif kind == "evict":
-                            exp_id = str(entry["id"])
-                            if experiments.pop(exp_id, None) is not None:
-                                result.evicted += 1
-                        elif kind == "quota":
-                            balances = entry.get("balances")
-                            if isinstance(balances, dict):
-                                result.quota = {
-                                    str(k): float(v) for k, v in balances.items()
-                                }
-                            else:
-                                raise ValueError("quota entry without balances")
-                        else:
-                            raise ValueError(f"unknown entry type {kind!r}")
-                    except (KeyError, TypeError, ValueError):
-                        self._quarantine(raw)
-                        result.quarantined += 1
-        result.experiments = [
-            experiments[exp_id] for exp_id in order if exp_id in experiments
-        ]
+            before = self._journal.quarantined
+            for entry in self._journal.read():
+                try:
+                    _apply(entry, experiments, result)
+                except (KeyError, TypeError, ValueError):
+                    self._journal.quarantine(entry)
+            result.quarantined = self._journal.quarantined - before
+            self.quarantined += result.quarantined
+        result.experiments = list(experiments.values())
         return result
 
     # -- compaction --------------------------------------------------------
@@ -338,83 +290,36 @@ class DurableStore:
         """Rewrite the journal as its own minimal replay; returns live count.
 
         Collapses duplicate settles, drops evicted experiments, keeps only
-        the final quota snapshot, and sweeps orphaned event-spill files.
-        Atomic: the new journal lands via tmp + ``os.replace``.
+        the final quota snapshot, and sweeps the event-spill files (and
+        their quarantines) of experiments no longer live.  Atomic: readers
+        see the old journal or the new one.
         """
         with self._lock:
             replayed = self.replay()
-            lines: list[str] = []
+            entries = []
             for exp in replayed.experiments:
-                lines.append(
-                    json.dumps(
-                        {
-                            "type": "submit",
-                            "schema": STORE_SCHEMA,
-                            "id": exp.id,
-                            "client": exp.client,
-                            "priority": exp.priority,
-                            "created": exp.created,
-                            "spec": exp.spec_payload,
-                        },
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
+                entries.append(_submit_entry(
+                    exp.id, exp.client, exp.priority, exp.created, exp.spec_payload
+                ))
+                entries.extend(
+                    _settle_entry(exp.id, key, **settle)
+                    for key, settle in exp.settles.items()
                 )
-                for key, settle in exp.settles.items():
-                    entry: dict[str, Any] = {
-                        "type": "settle",
-                        "id": exp.id,
-                        "key": key,
-                        "ok": settle["ok"],
-                        "source": settle["source"],
-                    }
-                    if settle.get("failure") is not None:
-                        entry["failure"] = settle["failure"]
-                    lines.append(
-                        json.dumps(entry, separators=(",", ":"), sort_keys=True)
-                    )
                 if exp.terminal is not None:
-                    entry = {
-                        "type": "terminal",
-                        "id": exp.id,
-                        "status": exp.terminal["status"],
-                        "finished": exp.terminal["finished"],
-                    }
-                    if exp.terminal.get("message"):
-                        entry["message"] = exp.terminal["message"]
-                    lines.append(
-                        json.dumps(entry, separators=(",", ":"), sort_keys=True)
-                    )
+                    entries.append(_terminal_entry(exp.id, **exp.terminal))
             if replayed.quota:
-                lines.append(
-                    json.dumps(
-                        {"type": "quota", "balances": replayed.quota},
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                )
-            if self._journal_file is not None and not self._journal_file.closed:
-                self._journal_file.close()
-                self._journal_file = None
-            tmp = self.root / f"{_JOURNAL}.tmp-{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in lines))
-            os.replace(tmp, self.journal_path)
+                entries.append(_quota_entry(replayed.quota))
+            self._journal.rewrite(entries)
             live_ids = {exp.id for exp in replayed.experiments}
-            events_dir = self.root / _EVENTS_DIR
-            for path in events_dir.glob("*.jsonl"):
-                if path.stem not in live_ids:
-                    try:
-                        path.unlink()
-                    except FileNotFoundError:
-                        pass
+            for path in (self.root / _EVENTS_DIR).iterdir():
+                # <exp-id>.jsonl and <exp-id>.jsonl.corrupt
+                if path.name.split(".", 1)[0] not in live_ids:
+                    path.unlink(missing_ok=True)
             return len(replayed.experiments)
 
     # -- bookkeeping -------------------------------------------------------
     def flush(self) -> None:
-        with self._lock:
-            if self._journal_file is not None and not self._journal_file.closed:
-                self._journal_file.flush()
+        """Nothing to do: every append reaches the OS before it returns."""
 
     def stats(self) -> dict[str, Any]:
         """Counters and layout for readiness probes / the stats endpoint."""
@@ -430,7 +335,4 @@ class DurableStore:
         }
 
     def close(self) -> None:
-        with self._lock:
-            if self._journal_file is not None and not self._journal_file.closed:
-                self._journal_file.close()
-            self._journal_file = None
+        """Nothing to release: the store keeps no file open between appends."""

@@ -80,7 +80,7 @@ from repro.experiments.outcomes import (
     JobOutcome,
     RunFailure,
 )
-from repro.experiments.sweep import run_spec, spec_execution
+from repro.experiments.sweep import run_report, run_spec, spec_execution
 from repro.service.durable import DurableStore, default_store_dir
 from repro.service.errors import ServiceError
 from repro.service.quota import QuotaManager
@@ -821,8 +821,13 @@ class ReproServer:
         self._history.append(record.id)
         while len(self._history) > self.max_history:
             victim = self._history.pop(0)
-            self._records.pop(victim, None)
+            evicted = self._records.pop(victim, None)
             self._result_cache.pop(victim, None)
+            if evicted is not None and all(
+                r.spec_hash != evicted.spec_hash for r in self._records.values()
+            ):
+                # The manifest file stays; only its in-memory copy goes.
+                self._manifests.pop(evicted.spec_hash, None)
             self.evicted += 1
             if self.store is not None:
                 self.store.record_evict(victim)
@@ -832,9 +837,6 @@ class ReproServer:
     # -- results --------------------------------------------------------
     def _build_result(self, record: ExperimentRecord) -> dict[str, Any]:
         """Worker thread: assemble the RunReport (+figure) for one record."""
-        from repro.specs import policy_label
-        from repro.telemetry import RunReport
-
         with self._bench_lock:
             # Failed cells (also those recovered from the journal) go into
             # the failure ledger, so rendering reports them, not re-runs.
@@ -852,39 +854,11 @@ class ReproServer:
             ]
             if missing:
                 self.bench.prefetch(missing)
-            runs = []
-            for job in record.jobs:
-                result = self.bench.result_for(job)
-                if result is not None:
-                    runs.append((job, result))
-            failures = [
-                {
-                    "kernel": cell.job.kernel,
-                    "config": cell.job.config.name,
-                    "policy": policy_label(cell.job.policy),
-                    **(cell.failure or {}),
-                }
-                for cell in record.cells.values()
-                if cell.status == "failed"
-            ]
             try:
                 figure = run_spec(self.bench, record.spec).to_dict()
             except Exception:  # noqa: BLE001 - figure is best-effort garnish
                 figure = None
-            report = RunReport.from_runs(
-                record.spec.name,
-                runs,
-                failures=failures,
-                workbench={
-                    "instructions": self.bench.instructions,
-                    "seed": self.bench.seed,
-                    "loc_mode": self.bench.loc_mode,
-                    "workers": self.bench.workers,
-                    "sim": self.bench.sim,
-                    "benchmarks": [spec.name for spec in self.bench.benchmarks],
-                },
-                figure=figure,
-            )
+            report = run_report(self.bench, record.spec.name, record.jobs, figure=figure)
         # to_json() schema-validates; the endpoint never serves a report
         # that would not round-trip through validate_report().
         return json.loads(report.to_json())

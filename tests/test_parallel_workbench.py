@@ -129,6 +129,44 @@ class TestRunCacheRoundTrip:
             assert cache.load(job) is None
         assert cache.misses == 1
 
+    def test_two_threads_storing_one_key_do_not_collide(self, tmp_path, monkeypatch):
+        # Both threads are inside json.dump with their temp files open at
+        # once; sharing one temp name, the second os.replace would find
+        # the file already renamed away.
+        import json
+        import threading
+
+        cache = RunCache(tmp_path)
+        bench = Workbench(instructions=500, benchmarks=[get_kernel("gcc")])
+        spec = get_kernel("gcc")
+        result = bench.run(spec, bench.clustered(2), "dependence")
+        job = bench.job(spec, bench.clustered(2), "dependence")
+        barrier = threading.Barrier(2, timeout=30)
+        real_dump = json.dump
+
+        def dump(obj, handle, **kwargs):
+            barrier.wait()
+            real_dump(obj, handle, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump)
+        errors: list[BaseException] = []
+
+        def store() -> None:
+            try:
+                cache.store(job, result)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        monkeypatch.undo()
+        assert errors == []
+        assert results_identical(cache.load(job), result)
+        assert not list(tmp_path.rglob("*.tmp-*"))
+
 
 class TestPersistentCacheAcrossWorkbenches:
     def test_second_workbench_runs_zero_simulations(self, tmp_path):

@@ -667,21 +667,53 @@ class TestManifestConcurrency:
         assert len(reloaded.entries) == per_thread * threads
         assert reloaded.summary()["completed"] == per_thread * threads
 
+    def test_summary_reads_while_another_thread_records(self, tmp_path):
+        import sys
+
+        manifest = SweepManifest.open(tmp_path, "12" * 32, "reader")
+        recorded = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer() -> None:
+            try:
+                for i in range(3000):
+                    manifest.record(f"k{i}", _fake_outcome(i))
+            finally:
+                recorded.set()
+
+        def reader() -> None:
+            try:
+                while not recorded.is_set():
+                    manifest.summary()
+            except BaseException as exc:  # pragma: no cover - fail loudly
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert manifest.summary()["jobs"] == 3000
+
     def test_two_manifest_instances_share_a_path_safely(self, tmp_path):
-        # Cross-instance (cross-process analogue): every published file
-        # version is complete and parseable even while both save in a loop.
+        # Cross-instance (cross-process analogue): both append to one file
+        # while saving in a loop, and neither drops the other's entries.
         a = SweepManifest.open(tmp_path, "ab" * 32, "left")
         b = SweepManifest.open(tmp_path, "ab" * 32, "right")
-        stop = threading.Event()
         errors: list[BaseException] = []
 
         def churn(manifest: SweepManifest, tag: str) -> None:
             try:
-                i = 0
-                while not stop.is_set() and i < 100:
+                for i in range(100):
                     manifest.record(f"{tag}-{i}", _fake_outcome(i))
                     manifest.save()
-                    i += 1
             except BaseException as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
@@ -693,10 +725,101 @@ class TestManifestConcurrency:
             t.start()
         for t in threads:
             t.join()
-        stop.set()
         assert not errors
-        data = json.loads((tmp_path / ("ab" * 32 + ".json")).read_text())
-        assert data["schema"] == "repro.sweep_manifest/1"  # complete document
+        reloaded = SweepManifest.open(tmp_path, "ab" * 32, "reload")
+        assert set(reloaded.entries) == {f"{tag}-{i}" for tag in "ab" for i in range(100)}
+        assert reloaded.summary()["completed"] == 200
+        assert not list(tmp_path.glob("*.corrupt"))
+        lines = (tmp_path / ("ab" * 32 + ".jsonl")).read_text().splitlines()
+        assert len(lines) == 200
+        assert all(json.loads(line)["schema"] == "repro.sweep_manifest/2" for line in lines)
+
+
+def _failed_outcome(n: int):
+    failure = SimpleNamespace(to_dict=lambda: {"kind": "error", "attempts": 1})
+    return SimpleNamespace(**{**vars(_fake_outcome(n)), "ok": False, "failure": failure})
+
+
+class TestManifestFile:
+    def test_save_appends_only_new_lines_and_the_last_line_wins(self, tmp_path):
+        manifest = SweepManifest.open(tmp_path, "ef" * 32, "lines")
+        manifest.save(force=True)  # nothing new, but the file exists
+        assert manifest.path.read_text() == ""
+        inode = manifest.path.stat().st_ino
+        manifest.record("k0", _fake_outcome(0))
+        manifest.save()
+        manifest.save()  # nothing new: no write
+        manifest.record("k0", _failed_outcome(0))
+        manifest.record("k1", _fake_outcome(1))
+        manifest.save()
+        assert manifest.path.stat().st_ino == inode  # appended, never replaced
+        lines = [json.loads(line) for line in manifest.path.read_text().splitlines()]
+        assert [(line["key"], line["status"]) for line in lines] == [
+            ("k0", "ok"), ("k0", "failed"), ("k1", "ok"),
+        ]
+        reopened = SweepManifest.open(tmp_path, "ef" * 32, "lines")
+        assert reopened.entries["k0"]["status"] == "failed"
+        assert reopened.entries["k0"]["failure"] == {"kind": "error", "attempts": 1}
+        assert reopened.resumed == {"k1"}
+        assert reopened.summary() == {"jobs": 2, "completed": 1, "failed": 1, "resumed": 1}
+
+    def test_torn_last_line_is_quarantined_alone(self, tmp_path):
+        import warnings
+
+        manifest = SweepManifest.open(tmp_path, "cd" * 32, "torn")
+        for i in range(3):
+            manifest.record(f"k{i}", _fake_outcome(i))
+        manifest.save()
+        torn = '{"key":"k3","schema":"repro.sweep_manifest/2","sta'  # killed mid-append
+        with open(manifest.path, "a", encoding="utf-8") as fh:
+            fh.write(torn)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reopened = SweepManifest.open(tmp_path, "cd" * 32, "torn")
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1 and "sweep manifest" in str(warned[0].message)
+        assert set(reopened.entries) == reopened.resumed == {"k0", "k1", "k2"}
+        quarantine = tmp_path / ("cd" * 32 + ".jsonl.corrupt")
+        assert quarantine.read_text().splitlines() == [torn]
+        # The next save seals the torn tail, so its own line stays whole.
+        reopened.record("k3", _fake_outcome(3))
+        reopened.save()
+        with pytest.warns(RuntimeWarning, match="1 damaged line"):
+            again = SweepManifest.open(tmp_path, "cd" * 32, "torn")
+        assert set(again.entries) == {"k0", "k1", "k2", "k3"}
+
+
+class TestManifestBound:
+    def test_server_keeps_manifests_of_retained_records_only(self, tmp_path):
+        with BackgroundServer(
+            workers=0, cache_dir=tmp_path / "cache", max_history=1
+        ) as server:
+            client = Client(server.url)
+            for n in range(4):
+                sub = client.submit(make_spec(name=f"distinct-{n}", instructions=300 + n))
+                assert client.wait(sub["id"])["status"] == "done"
+            live = {record.spec_hash for record in server._records.values()}
+            assert len(live) == 1
+            assert set(server._manifests) == live
+
+
+class TestSpillQuarantine:
+    def test_damaged_spill_lines_are_quarantined_once_and_evicted(self, tmp_path):
+        from repro.service import DurableStore
+
+        store = DurableStore(tmp_path / "service")
+        store.append_event("exp-000001", {"id": 1, "event": "status", "data": {}})
+        spill = store.events_path("exp-000001")
+        with open(spill, "a", encoding="utf-8") as fh:
+            fh.write('{"id": 2, "ev')  # torn by a kill mid-append
+        store.append_event("exp-000001", {"id": 3, "event": "status", "data": {}})
+        assert [e["id"] for e in store.load_events("exp-000001")] == [1, 3]
+        corrupt = spill.with_name(spill.name + ".corrupt")
+        assert corrupt.read_text() == '{"id": 2, "ev\n'
+        assert store.event_count("exp-000001") == 2
+        assert store.stats()["quarantined"] == 1  # moved aside, counted once
+        store.record_evict("exp-000001")
+        assert not spill.exists() and not corrupt.exists()
 
 
 # ---------------------------------------------------------------------------

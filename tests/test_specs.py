@@ -545,6 +545,37 @@ class TestCheckedInSpecs:
         assert main(argv) == 0
         assert "simulated=0" in capsys.readouterr().out
 
+    def test_specs_status_reports_recorded_jobs_and_failures(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        from repro.experiments.runner import main
+        from repro.testing import chaos
+
+        spec_path = tmp_path / "status.json"
+        spec_path.write_text(
+            ExperimentSpec.from_dict(
+                {
+                    "name": "status-sweep",
+                    "instructions": 300,
+                    "workloads": [{"kernel": "gcc"}, {"kernel": "mcf"}],
+                    "sweeps": [{"machines": [{"clusters": 2}], "policies": ["l"]}],
+                }
+            ).to_json()
+        )
+        cache = str(tmp_path / "cache")
+        chaos.install(lambda job, attempt: "error" if job.kernel == "mcf" else None)
+        try:
+            assert main(["--spec", str(spec_path), "--max-retries", "0", "--cache-dir", cache]) == 0
+        finally:
+            chaos.uninstall()
+        capsys.readouterr()
+        assert cli_main(["specs", "status", str(spec_path), "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            f"ok   {spec_path}: 'status-sweep' recorded 2 job(s): 1 completed, 1 failed"
+        )
+        assert out[1].startswith("     failed mcf/2x4w: injected after 1 attempt(s) [")
+        assert len(out) == 2
+
     def test_broken_spec_file_exits_2(self, tmp_path, capsys):
         from repro.experiments.runner import main
 

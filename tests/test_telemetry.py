@@ -303,6 +303,40 @@ class TestRunReport:
         assert all(run["telemetry"] for run in payload["runs"])
         assert "run report" in capsys.readouterr().out
 
+    def test_cli_reports_list_only_their_own_failures(self, tmp_path):
+        from repro.experiments.runner import main
+        from repro.specs import policy_label
+        from repro.testing import chaos
+
+        # Policy "p" is planned by Figure 14 only: its failures belong in
+        # figure14's report and never in figure4's.
+        chaos.install(lambda job, attempt: "error" if policy_label(job.policy) == "p" else None)
+        try:
+            code = main(
+                [
+                    "figure14",
+                    "figure4",
+                    "--instructions",
+                    "300",
+                    "--benchmarks",
+                    "gcc",
+                    "--no-cache",
+                    "--max-retries",
+                    "0",
+                    "--metrics",
+                    "--out",
+                    str(tmp_path),
+                ]
+            )
+        finally:
+            chaos.uninstall()
+        assert code == 0
+        figure14 = json.loads((tmp_path / "figure14_report.json").read_text())
+        figure4 = json.loads((tmp_path / "figure4_report.json").read_text())
+        assert figure14["failures"]
+        assert {row["policy"] for row in figure14["failures"]} == {"p"}
+        assert "failures" not in figure4  # the report omits an empty list
+
     def test_cli_trace_out_writes_spans(self, tmp_path):
         from repro.experiments.runner import main
 
