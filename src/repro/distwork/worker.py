@@ -65,6 +65,7 @@ from repro.distwork.protocol import (
     send_frame,
 )
 from repro.experiments.cache import RunCache
+from repro.experiments.executor import kill_pool
 from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import ExecutionInterrupted, JobOutcome
 from repro.experiments.parallel import run_job_outcome
@@ -129,18 +130,9 @@ class _TimeoutAttemptRunner:
 
     def _kill(self) -> None:
         """Kill the (possibly hung) child; a polite shutdown would block."""
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.kill()
-                except Exception:  # pragma: no cover - already-dead race
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            kill_pool(pool)
 
     def close(self) -> None:
         if self._pool is not None:

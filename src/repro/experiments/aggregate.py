@@ -33,10 +33,11 @@ def run_seeded(
     agree across seeds.  The returned figure carries a per-column
     max-spread note.
 
-    Seeds are embarrassingly parallel: with ``workers`` > 1, each seed's
-    workbench fans its simulations out over a process pool (via the
-    experiment's prefetch plan), and a shared ``cache`` persists every
-    seed's runs across invocations.
+    Each seed's workbench runs the experiment's prefetch plan through
+    its executor: with ``workers`` > 1 the event-engine runs fan out over
+    a process pool, while batched runs stay in-process on the trace memo
+    (:class:`~repro.experiments.executor.LocalPoolExecutor`).  A shared
+    ``cache`` persists every seed's runs across invocations.
     """
     if not seeds:
         raise ValueError("need at least one seed")

@@ -12,8 +12,9 @@ point, so this module makes each of them happen once per trace:
   built on first use, the batched engine's
   :class:`~repro.core.batched.TracePrecompute`, the canonical warm suite
   and its frozen-priority cache.  Every job reads it, so consecutive
-  jobs on one trace share it however they are executed -- serially, in
-  a pooled same-trace group, or on a distributed worker;
+  jobs on one trace in one process share it however they are executed
+  -- serially, in-process next to a worker pool, or on a distributed
+  worker;
 * :func:`fast_policy` lowers a :class:`~repro.specs.PolicySpec` to the
   flags the inlined engine branches on, or ``None`` when the stack is
   outside the fast path (readiness steering, token predictors,
@@ -21,17 +22,18 @@ point, so this module makes each of them happen once per trace:
 * :func:`execute_batched_job` runs one ``sim="batched"`` job -- the
   entry point :func:`~repro.experiments.parallel.execute_job` dispatches
   to, so retries, chaos injection, serial/parallel execution and the
-  run cache all compose unchanged;
-* :func:`plan_groups` partitions a sweep into same-trace groups, which
-  the local pool runs one future per group so each group's jobs share
-  one worker process's memo.
+  run cache all compose unchanged.
+
+With a worker pool, the local executor still runs batched jobs in the
+calling process, on its memo
+(:class:`~repro.experiments.executor.LocalPoolExecutor`).
 
 Methodology: ``warm=True`` batched runs measure with predictors
 **frozen** after a single canonical training pass (the monolithic
 machine under the ``l`` stack -- the same run every figure normalizes
 against).  The trained state is therefore a function of
 ``(kernel, instructions, seed, loc_mode)`` only, which is what makes a
-grid point's result independent of how a sweep is grouped or ordered:
+grid point's result independent of how a sweep is split or ordered:
 running a job alone, after any other jobs, or in any permutation yields
 bit-identical results and identical cache keys.  This deliberately
 differs from the event backend's per-entry warm-up (each grid point
@@ -54,7 +56,7 @@ import os
 import threading
 from collections import OrderedDict
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.batched import (
     ArrayPredictorState,
@@ -69,7 +71,6 @@ from repro.experiments.parallel import (
     PreparedWorkload,
     RunJob,
     _stage_span,
-    execute_job,
     prepare_workload,
 )
 from repro.specs.policy import PolicySpec, policy_label, resolve_policy
@@ -83,9 +84,7 @@ __all__ = [
     "clear_trace_memo",
     "execute_batched_job",
     "fast_policy",
-    "plan_groups",
     "prepared_trace",
-    "supports_job",
     "warm_suite",
 ]
 
@@ -177,15 +176,6 @@ def batchable_config(config) -> bool:
     backends.
     """
     return all(c.fp_ports > 0 and c.mem_ports > 0 for c in config.clusters)
-
-
-def supports_job(job: RunJob) -> bool:
-    """Whether ``job`` can run on the batched backend at all."""
-    return (
-        not job.metrics
-        and batchable_config(job.config)
-        and fast_policy(job.policy) is not None
-    )
 
 
 def batch_key(job: RunJob) -> tuple:
@@ -340,50 +330,3 @@ def execute_batched_job(
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-def group_worker(jobs: Sequence[RunJob]) -> list[SimulationResult]:
-    """Pool entry point for one same-trace group; its jobs share the worker's memo."""
-    return [execute_job(job) for job in jobs]
-
-
-def plan_groups(
-    jobs: Iterable[RunJob], min_size: int = 2
-) -> tuple[list[list[RunJob]], list[RunJob]]:
-    """Partition ``jobs`` into same-trace batched groups and leftovers.
-
-    A job joins a group when it is marked ``sim="batched"`` and the
-    backend supports it; groups smaller than ``min_size`` fall back to
-    the per-job path (no shared work to amortize).  Within a group, jobs
-    keep their given order; leftovers keep their relative order too.
-    """
-    buckets: dict[tuple, list[RunJob]] = {}
-    rest: list[RunJob] = []
-    for job in jobs:
-        if job.sim == "batched" and supports_job(job):
-            buckets.setdefault(batch_key(job), []).append(job)
-        else:
-            rest.append(job)
-    groups: list[list[RunJob]] = []
-    for bucket in buckets.values():
-        if len(bucket) >= min_size:
-            groups.append(bucket)
-        else:
-            rest.extend(bucket)
-    return groups, rest
-
-
-def grouping_blocked() -> str | None:
-    """Why grouped prefetch must be bypassed right now, or ``None``.
-
-    Fault injection targets individual job attempts, so grouped
-    execution would tunnel under the chaos harness; the per-job path
-    keeps every attempt observable.
-    """
-    from repro.experiments import parallel
-
-    if parallel._chaos_hook is not None:
-        return "in-process chaos hook installed"
-    if os.environ.get("REPRO_CHAOS"):
-        return "REPRO_CHAOS active"
-    return None

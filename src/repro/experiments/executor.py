@@ -23,9 +23,10 @@ Backends:
 * :class:`LocalPoolExecutor` -- this module.  In-process serial
   execution, or per-job futures on a
   :class:`~concurrent.futures.ProcessPoolExecutor` with retries,
-  per-attempt wall-time budgets, pool respawn and serial degradation,
-  plus one future per same-trace batched group
-  (:mod:`repro.experiments.batch`).
+  per-attempt wall-time budgets, pool respawn and serial degradation;
+  ``sim="batched"`` jobs stay in-process on the trace memo
+  (:mod:`repro.experiments.batch`) unless only the pool can honour the
+  policy.
 * :class:`~repro.experiments.distributed.DistributedExecutor` -- a
   coordinator sharding jobs to ``repro worker`` processes over sockets
   or a spool directory (:mod:`repro.distwork`).
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
@@ -65,6 +65,7 @@ __all__ = [
     "Executor",
     "LocalPoolExecutor",
     "executor_names",
+    "kill_pool",
     "make_executor",
 ]
 
@@ -147,14 +148,17 @@ class Executor(Protocol):
 class LocalPoolExecutor:
     """Serial or process-pool execution with retries and timeouts.
 
-    ``workers <= 1`` (or a single job) runs every job in-process, one
-    after another, sharing this process's trace memo
-    (:mod:`repro.experiments.batch`).  More workers fan per-job futures
-    out over a :class:`~concurrent.futures.ProcessPoolExecutor` via the
-    resilient scheduler (:class:`_PoolScheduler`), after same-trace
-    ``sim="batched"`` groups: two or more go to the pool one future per
-    group, so a group shares one worker's memo; a lone group runs
-    in-process.
+    ``workers <= 1`` runs every job in-process, one after another,
+    sharing this process's trace memo (:mod:`repro.experiments.batch`).
+    With more workers, ``sim="batched"`` jobs still run here: they share
+    the memo, and shipping their results back from a pool costs more
+    than computing them.  The other jobs fan out as per-job futures over
+    a :class:`~concurrent.futures.ProcessPoolExecutor` via the resilient
+    scheduler (:class:`_PoolScheduler`); a lone one runs in-process.
+    Under a ``job_timeout`` every job goes to the pool, lone ones too,
+    because only the pool can kill a hung attempt; under fault injection
+    batched jobs go there as well, where the chaos suite exercises pool
+    recovery.
     """
 
     name = "local"
@@ -176,117 +180,36 @@ class LocalPoolExecutor:
         stats: OutcomeStats | None = None,
         should_stop: "Callable[[], bool] | None" = None,
     ) -> list[JobOutcome]:
+        from repro.experiments.parallel import chaos_active
+
         policy = policy if policy is not None else ExecutionPolicy()
         jobs = list(jobs)
-        if self.workers <= 1 or len(jobs) <= 1:
+        batched_here = policy.job_timeout is None and not chaos_active()
+        here: list[int] = []
+        pooled: list[int] = []
+        for index, job in enumerate(jobs):
+            (here if batched_here and job.sim == "batched" else pooled).append(index)
+        if self.workers <= 1 or (len(pooled) <= 1 and policy.job_timeout is None):
             return _run_serial(jobs, tracer, policy, on_outcome, stats, should_stop)
-        from repro.experiments.batch import grouping_blocked
-
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
-        remaining = list(enumerate(jobs))
-        # Groups step aside under fault injection (the chaos harness
-        # targets single attempts), under a per-job wall-time budget (a
-        # group cannot be recycled mid-flight) and for duplicate jobs
-        # (settled jobs map back to submission slots by identity).
-        if (
-            grouping_blocked() is None
-            and policy.job_timeout is None
-            and len(set(jobs)) == len(jobs)
-        ):
-            remaining = self._run_groups(
-                remaining, tracer, policy, outcomes, on_outcome, stats, should_stop
-            )
-        if remaining:
-            scheduler = _PoolScheduler(
-                [job for _, job in remaining],
-                min(self.workers, len(remaining)),
-                tracer,
-                policy,
-                on_outcome,
-                stats,
-                should_stop=should_stop,
-            )
-            for (index, _job), outcome in zip(remaining, scheduler.run()):
-                outcomes[index] = outcome
+        settled = _run_serial(
+            [jobs[i] for i in here], tracer, policy, on_outcome, stats, should_stop
+        )
+        for index, outcome in zip(here, settled):
+            outcomes[index] = outcome
+        scheduler = _PoolScheduler(
+            [jobs[i] for i in pooled],
+            min(self.workers, len(pooled)),
+            tracer,
+            policy,
+            on_outcome,
+            stats,
+            should_stop=should_stop,
+        )
+        for index, outcome in zip(pooled, scheduler.run()):
+            outcomes[index] = outcome
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    # -- batched same-trace groups --------------------------------------
-    def _run_groups(
-        self,
-        indexed: "list[tuple[int, RunJob]]",
-        tracer: "Tracer | None",
-        policy: ExecutionPolicy,
-        outcomes: "list[JobOutcome | None]",
-        on_outcome: "Callable[[JobOutcome], None] | None",
-        stats: OutcomeStats | None,
-        should_stop: "Callable[[], bool] | None",
-    ) -> "list[tuple[int, RunJob]]":
-        """Run same-trace batched groups; return the (index, job) pairs still owed.
-
-        A lone group runs in-process, on this process's memo.  Two or more
-        fan out over a process pool, one future per group, so each group
-        shares one worker's memo; worker spans are not collected, the
-        parent records one ``batched-group`` span per group.  A group that
-        fails for any reason -- a broken pool included -- is owed, whole,
-        to the per-job path.  ``should_stop`` is polled while awaiting
-        groups; settled groups stay settled.  Members count toward
-        ``stats.executed`` like per-job successes, so the counter never
-        drifts below the workbench's ``simulations_run``.
-        """
-        from repro.experiments.batch import group_worker, plan_groups
-
-        index_of = {job: index for index, job in indexed}
-        groups, rest = plan_groups(job for _, job in indexed)
-        if len(groups) <= 1:
-            # One trace gains nothing from a pool: run its group here,
-            # before the leftovers go to the pool.
-            for group in groups:
-                settled = _run_serial(group, tracer, policy, on_outcome, stats, should_stop)
-                for job, outcome in zip(group, settled):
-                    outcomes[index_of[job]] = outcome
-            return [(index_of[job], job) for job in rest]
-        failed: "list[RunJob]" = []
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(groups)))
-        try:
-            futures = {pool.submit(group_worker, group): group for group in groups}
-            outstanding = set(futures)
-            poll = 0.25 if should_stop is not None else None
-            while outstanding:
-                if should_stop is not None and should_stop():
-                    raise ExecutionInterrupted(
-                        f"execution stopped with {len(outstanding)} "
-                        "batched group(s) outstanding"
-                    )
-                done, outstanding = wait(
-                    outstanding, timeout=poll, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    group = futures[future]
-                    span = nullcontext()
-                    if tracer is not None:
-                        span = tracer.span(
-                            "batched-group", kernel=group[0].kernel, jobs=len(group), pooled=True
-                        )
-                    try:
-                        with span:
-                            results = future.result()
-                    except Exception:
-                        failed.extend(group)
-                        continue
-                    for job, result in zip(group, results):
-                        if stats is not None:
-                            stats.executed += 1
-                        outcome = JobOutcome(job=job, result=result, attempts=1)
-                        outcomes[index_of[job]] = outcome
-                        if on_outcome is not None:
-                            on_outcome(outcome)
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-        return [(index_of[job], job) for job in rest + failed]
 
 
 def _run_serial(
@@ -537,6 +460,22 @@ class BreakerExecutor:
         self.primary.close()
         if self.fallback is not None:
             self.fallback.close()
+
+
+def kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Kill ``pool``'s children, then shut it down without waiting.
+
+    Hung children never drain the call queue, so a polite shutdown would
+    block forever: kill them first (private attr, guarded).
+    """
+    processes = getattr(pool, "_processes", None)
+    if processes:
+        for process in list(processes.values()):
+            try:
+                process.kill()
+            except Exception:  # pragma: no cover - already-dead race
+                pass
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class _JobState:
@@ -823,20 +762,9 @@ class _PoolScheduler:
             self.tracer.event("pool.recycle", reason="timeout")
 
     def _kill_pool(self) -> None:
-        pool = self.pool
-        self.pool = None
-        if pool is None:
-            return
-        # Hung children never drain the call queue, so a polite shutdown
-        # would block forever: kill them first (private attr, guarded).
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.kill()
-                except Exception:  # pragma: no cover - already-dead race
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            kill_pool(pool)
 
     # ------------------------------------------------------------------
     def _drain_serial(self) -> None:

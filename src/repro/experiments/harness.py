@@ -20,10 +20,11 @@ Runs are cached at two levels:
 Traces come from the per-process trace memo
 (:func:`repro.experiments.batch.prepared_trace`), not from the workbench.
 
-Independent runs can be fanned out over worker processes with
-:meth:`Workbench.prefetch` (each figure module publishes a ``plan_*``
-enumerating the runs it needs); serial and parallel execution produce
-bit-identical results because both go through
+A figure's runs execute together through :meth:`Workbench.prefetch`
+(each figure module publishes a ``plan_*`` enumerating the runs it
+needs), with event-engine runs fanned out over worker processes when
+``workers`` > 1; serial and parallel execution produce bit-identical
+results because both go through
 :func:`repro.experiments.parallel.execute_job`.
 
 Policy names (matching Figure 14's bar labels):
@@ -80,8 +81,9 @@ DEFAULT_INSTRUCTIONS = 12_000
 class Workbench:
     """Caches canonical runs for one experiment pass.
 
-    ``workers`` > 1 lets :meth:`prefetch` fan independent runs out over a
-    process pool; ``cache`` adds a persistent on-disk result store shared
+    ``workers`` > 1 lets :meth:`prefetch` fan independent event-engine
+    runs out over a process pool (batched runs stay in this process, on
+    its trace memo); ``cache`` adds a persistent on-disk result store shared
     across workbenches and invocations.  ``simulations_run`` counts the
     simulations this workbench actually executed (cache hits excluded),
     which is how the CLI and the tests verify that a warm cache re-executes
@@ -310,11 +312,15 @@ class Workbench:
         """Materialize ``jobs`` into the caches, fanning out over workers.
 
         Already-cached jobs (memory or disk) are skipped, and so are jobs
-        in the failure ledger, as in :meth:`outcome`; the rest run on a
-        process pool when ``workers`` > 1, serially otherwise.  Returns
+        in the failure ledger, as in :meth:`outcome`; the rest go to the
+        executor.  The local one runs them in-process, one after another,
+        except that with ``workers`` > 1 the jobs that are not
+        ``sim="batched"`` fan out over a process pool (under a
+        ``job_timeout`` every job does; see
+        :class:`~repro.experiments.executor.LocalPoolExecutor`).  Returns
         the number of simulations actually executed.  After a prefetch,
         the matching :meth:`run` calls are cache hits, so figure code can
-        stay serial while the heavy lifting happens in parallel.
+        stay serial.
 
         Each job settles **as it completes**: successes go straight to
         the memory and persistent caches (so a ``KeyboardInterrupt``
@@ -412,6 +418,16 @@ class Workbench:
     def forget_failures(self, jobs: Iterable[RunJob]) -> None:
         """Drop ``jobs`` from the ledger, so the next prefetch retries them."""
         for job in jobs:
+            self._failures.pop(job, None)
+
+    def forget(self, jobs: Iterable[RunJob]) -> None:
+        """Drop ``jobs``' results and failures from memory.
+
+        The persistent cache keeps the results; a later run of a job
+        loads it from there, or simulates it again without one.
+        """
+        for job in jobs:
+            self._run_cache.pop(job, None)
             self._failures.pop(job, None)
 
     def cached_results(self) -> list[tuple[RunJob, SimulationResult]]:

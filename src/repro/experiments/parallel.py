@@ -8,8 +8,8 @@ each worker regenerates the trace deterministically from the seeded
 interpreter instead of shipping megabytes of trace over the pipe.
 
 Determinism contract: :func:`execute_job` is the *only* code path that
-runs a simulation -- serial and pooled execution, pooled same-trace
-groups, distributed workers and :meth:`Workbench.outcome
+runs a simulation -- serial and pooled execution, distributed workers
+and :meth:`Workbench.outcome
 <repro.experiments.harness.Workbench.outcome>` all call it -- and every
 stochastic component it touches (workload data, LoC predictor) derives
 its stream from the job's explicit seed.  The per-trace state it shares
@@ -27,7 +27,10 @@ an :class:`~repro.experiments.outcomes.ExecutionPolicy` -- per-attempt
 wall-time budgets, bounded retries with backoff, pool respawn, serial
 degradation and clean ``KeyboardInterrupt`` shutdown -- and every job
 yields a typed :class:`~repro.experiments.outcomes.JobOutcome`, so
-sweeps keep going past individual failures.
+sweeps keep going past individual failures.  Fault injection
+(:mod:`repro.testing.chaos`) hooks in here: :func:`chaos_active` says
+whether it is on, and every attempt consults the schedule before it
+runs.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from repro.workloads.suite import get_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle at runtime
     from repro.telemetry.tracing import Tracer
+    from repro.testing.chaos import ChaosConfig
 
 # A generous bound: no sane run needs more cycles than ~64 per instruction.
 _MAX_CPI_GUARD = 64
@@ -229,27 +233,33 @@ def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationRes
 _chaos_hook: "Callable[[RunJob, int], str | None] | None" = None
 
 
-def _chaos_action(job: RunJob, attempt: int) -> str | None:
-    hook = _chaos_hook
-    if hook is not None:
-        return hook(job, attempt)
-    if os.environ.get("REPRO_CHAOS"):
-        from repro.testing.chaos import env_action
+def chaos_active() -> bool:
+    """Whether fault injection is on: an installed hook or ``REPRO_CHAOS``."""
+    return _chaos_hook is not None or bool(os.environ.get("REPRO_CHAOS"))
 
-        return env_action(job, attempt)
-    return None
+
+def _chaos_action(job: RunJob, attempt: int) -> "tuple[str | None, ChaosConfig | None]":
+    """The fault scheduled for this attempt, and the config that set it."""
+    if not chaos_active():
+        return None, None
+    from repro.testing.chaos import ChaosConfig, env_config
+
+    schedule = _chaos_hook if _chaos_hook is not None else env_config()
+    if schedule is None:
+        return None, None
+    config = schedule if isinstance(schedule, ChaosConfig) else None
+    return schedule(job, attempt), config
 
 
 def _apply_chaos(job: RunJob, attempt: int) -> bool:
     """Run any scheduled pre-run fault; True means garble the result."""
-    action = _chaos_action(job, attempt)
+    action, config = _chaos_action(job, attempt)
     if action is None:
         return False
     if action == "garbage":
         return True
     from repro.testing import chaos
 
-    config = _chaos_hook if isinstance(_chaos_hook, chaos.ChaosConfig) else None
     chaos.perform(action, config)
     return False
 

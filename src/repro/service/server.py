@@ -823,11 +823,20 @@ class ReproServer:
             victim = self._history.pop(0)
             evicted = self._records.pop(victim, None)
             self._result_cache.pop(victim, None)
-            if evicted is not None and all(
-                r.spec_hash != evicted.spec_hash for r in self._records.values()
-            ):
-                # The manifest file stays; only its in-memory copy goes.
-                self._manifests.pop(evicted.spec_hash, None)
+            if evicted is not None:
+                retained = list(self._records.values())
+                if all(r.spec_hash != evicted.spec_hash for r in retained):
+                    # The manifest file stays; only its in-memory copy goes.
+                    self._manifests.pop(evicted.spec_hash, None)
+                # Likewise the run cache keeps the results.  A running
+                # sweep's jobs are all listed by its own, retained record,
+                # so this need not wait for the bench lock (a result being
+                # built for the evicted record is not served).
+                self.bench.forget(
+                    cell.job
+                    for key, cell in evicted.cells.items()
+                    if not any(key in r.cells for r in retained)
+                )
             self.evicted += 1
             if self.store is not None:
                 self.store.record_evict(victim)
@@ -976,6 +985,9 @@ class ReproServer:
                 payload = self._result_cache.get(exp_id)
                 if payload is None:
                     payload = await asyncio.to_thread(self._build_result, record)
+                    # Evicted meanwhile: its id is gone, and its results may
+                    # have left the bench in the middle of the render.
+                    self._record_or_404(exp_id)
                     self._result_cache[exp_id] = payload
                 await send(200, payload)
                 return

@@ -57,7 +57,7 @@ __all__ = [
     "GarbageResult",
     "corrupt_cache_entry",
     "corrupt_file",
-    "env_action",
+    "env_config",
     "install",
     "uninstall",
 ]
@@ -247,8 +247,8 @@ def uninstall() -> None:
 _env_cache: tuple[str, ChaosConfig] | None = None
 
 
-def env_action(job: "RunJob", attempt: int) -> str | None:
-    """The fault scheduled by ``REPRO_CHAOS`` for this (job, attempt)."""
+def env_config() -> ChaosConfig | None:
+    """The schedule ``REPRO_CHAOS`` holds, or ``None`` when it is unset."""
     global _env_cache
     raw = os.environ.get(ENV_VAR)
     if not raw:
@@ -258,7 +258,7 @@ def env_action(job: "RunJob", attempt: int) -> str | None:
         if raw.startswith("@"):
             text = pathlib.Path(raw[1:]).read_text()
         _env_cache = (raw, ChaosConfig.from_dict(json.loads(text)))
-    return _env_cache[1].action_for(job, attempt)
+    return _env_cache[1]
 
 
 def perform(action: str, config: "ChaosConfig | None" = None) -> None:

@@ -19,8 +19,8 @@ that promise directly:
   sweep, a timed-out-policy sweep and a mixed-engine prefetch, bounded
   size, one generation across threads;
 * the wiring seams: promotion in :meth:`Workbench.job` / spec-built
-  plans, rejection of unsupported jobs, and the grouping bypass under
-  chaos injection.
+  plans, rejection of unsupported jobs, the chaos switch that sends
+  batched jobs to the pool, and the in-process path with a pool.
 """
 
 from __future__ import annotations
@@ -38,20 +38,15 @@ from repro.core.serialize import results_identical
 from repro.experiments import batch
 from repro.experiments.batch import (
     TRACE_MEMO_SIZE,
-    batch_key,
     clear_trace_memo,
     execute_batched_job,
-    fast_policy,
-    grouping_blocked,
-    plan_groups,
     prepared_trace,
-    supports_job,
 )
 from repro.experiments.cache import job_key
 from repro.experiments.fig14 import spec_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.outcomes import ExecutionPolicy
-from repro.experiments.parallel import RunJob, execute_job
+from repro.experiments.parallel import RunJob, chaos_active, execute_job
 from repro.experiments.sweep import run_spec
 from repro.workloads.suite import get_kernel
 
@@ -293,31 +288,14 @@ def test_threads_share_one_memo_entry(vm_runs, grid_jobs, solo_results, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# Planning and rejection seams
+# Execution and rejection seams
 # ---------------------------------------------------------------------------
 
 
-def test_plan_groups_buckets_by_trace_and_falls_back():
-    a = [_job(c, "l") for c in (1, 2, 4)]
-    b = [
-        dataclasses.replace(_job(2, "s"), kernel="mcf"),
-        dataclasses.replace(_job(8, "focused"), kernel="mcf"),
-    ]
-    readiness = _job(2, "readiness")
-    event = _job(2, "l", sim="event")
-    groups, rest = plan_groups(a + b + [readiness, event])
-    keys = {batch_key(group[0]) for group in groups}
-    assert len(groups) == 2 and len(keys) == 2
-    # Unsupported policy and unpromoted sim fall back to the per-job path.
-    assert readiness in rest and event in rest
-    total = sum(len(group) for group in groups)
-    assert total == len(a + b)
-
-
-def test_pooled_group_prefetch_honors_should_stop():
-    # Graceful shutdown must interrupt the *pooled* batched path too,
-    # not just the serial group loop: should_stop is polled while
-    # awaiting group completions.
+def test_in_process_batched_prefetch_honors_should_stop():
+    # With a pool available, batched jobs still run in-process, and
+    # graceful shutdown must interrupt that loop too: should_stop is
+    # polled before each job.
     from repro.experiments.outcomes import ExecutionInterrupted
 
     bench = Workbench(instructions=INSTRUCTIONS, workers=2)
@@ -328,12 +306,7 @@ def test_pooled_group_prefetch_honors_should_stop():
     ]
     with pytest.raises(ExecutionInterrupted):
         bench.prefetch(jobs, should_stop=lambda: True)
-
-
-def test_plan_groups_min_size_sends_singletons_to_rest():
-    lone = _job(4, "p")
-    groups, rest = plan_groups([lone])
-    assert groups == [] and rest == [lone]
+    assert bench.simulations_run == 0
 
 
 def test_execute_batched_job_rejects_unsupported():
@@ -348,17 +321,20 @@ def test_execute_job_rejects_unknown_sim():
         execute_job(dataclasses.replace(_job(2, "l"), sim="warp"))
 
 
-def test_supports_job_gates_metrics_and_policy():
-    assert supports_job(_job(2, "l"))
-    assert not supports_job(_job(2, "readiness"))
-    assert not supports_job(dataclasses.replace(_job(2, "l"), metrics=True))
-    assert fast_policy("readiness") is None
+def test_chaos_active_under_hook_and_env(monkeypatch):
+    from repro.testing import chaos
 
-
-def test_grouping_blocked_under_chaos(monkeypatch):
-    assert grouping_blocked() is None
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    assert not chaos_active()
     monkeypatch.setenv("REPRO_CHAOS", "0.5")
-    assert grouping_blocked() is not None
+    assert chaos_active()
+    monkeypatch.delenv("REPRO_CHAOS")
+    chaos.install(chaos.ChaosConfig())
+    try:
+        assert chaos_active()
+    finally:
+        chaos.uninstall()
+    assert not chaos_active()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ cells for jobs that exhaust their retry budget, and resumes an
 interrupted sweep re-executing only its unfinished jobs.
 """
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,19 @@ class TestSerialRetries:
         assert stats.retries == 1
         assert results_identical(outcome.result, clean)
 
+    def test_env_hang_honours_hang_seconds(self, monkeypatch):
+        # A hang scheduled through REPRO_CHAOS sleeps the config's
+        # hang_seconds, not the 30 s default.
+        config = ChaosConfig(
+            rules=(FaultRule(mode="hang", attempts=(1,)),), hang_seconds=0.2
+        )
+        monkeypatch.setenv("REPRO_CHAOS", config.env_value())
+        bench = make_bench()
+        job = bench.job(get_kernel("gcc"), bench.clustered(2), "l")
+        start = time.monotonic()
+        assert bench.prefetch([job]) == 1
+        assert time.monotonic() - start < 10.0
+
     def test_garbage_result_rejected_and_retried(self):
         bench = make_bench()
         spec = get_kernel("gcc")
@@ -242,8 +257,6 @@ class TestPoolChaos:
             assert results_identical(bench.result_for(job), expected)
 
     def test_job_timeout_kills_hung_worker_and_retries(self, monkeypatch):
-        # Two jobs: a single job takes execute_outcomes' serial shortcut,
-        # where wall-time budgets are (documentedly) not enforced.
         clean_bench = make_bench()
         spec = get_kernel("gcc")
         clean = [clean_bench.run(spec, clean_bench.clustered(n), "l") for n in (2, 4)]
@@ -261,6 +274,28 @@ class TestPoolChaos:
         assert bench.exec_stats.timeouts >= 1
         for job, expected in zip(jobs, clean):
             assert results_identical(bench.result_for(job), expected)
+
+    def test_job_timeout_binds_a_lone_job(self, monkeypatch):
+        # Under a job timeout even a single job runs in a killable pool
+        # worker; in-process, nothing could interrupt the hang.
+        clean_bench = make_bench()
+        spec = get_kernel("gcc")
+        clean = clean_bench.run(spec, clean_bench.clustered(2), "l")
+
+        config = ChaosConfig(
+            rules=(FaultRule(mode="hang", attempts=(1,)),), hang_seconds=20.0
+        )
+        monkeypatch.setenv("REPRO_CHAOS", config.env_value())
+        bench = make_bench(
+            workers=2,
+            execution=ExecutionPolicy(max_retries=2, job_timeout=1.0),
+        )
+        job = bench.job(spec, bench.clustered(2), "l")
+        settled: list[JobOutcome] = []
+        assert bench.prefetch([job], on_outcome=settled.append) == 1
+        assert bench.exec_stats.timeouts == 1
+        assert [(outcome.ok, outcome.attempts) for outcome in settled] == [(True, 2)]
+        assert results_identical(bench.result_for(job), clean)
 
     def test_timeout_without_retries_reports_timeout_cell(self, monkeypatch):
         config = ChaosConfig(rules=(FaultRule(mode="hang"),), hang_seconds=20.0)

@@ -9,10 +9,13 @@ front.
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.serialize import results_identical
+from repro.experiments.batch import clear_trace_memo
+from repro.experiments.cache import job_key
 from repro.experiments.distributed import DistributedExecutor
 from repro.experiments.executor import (
     EXECUTOR_NAMES,
@@ -21,11 +24,13 @@ from repro.experiments.executor import (
     executor_names,
     make_executor,
 )
+from repro.experiments.fig14 import plan_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.outcomes import ExecutionPolicy, OutcomeStats
 from repro.experiments.parallel import execute_job
 from repro.experiments.sweep import run_spec
 from repro.specs import ExperimentSpec, MachineSpec, SpecError, SweepSpec, spec_hash
+from repro.testing.chaos import ChaosConfig
 from repro.workloads.suite import get_kernel
 
 INSTRUCTIONS = 400
@@ -122,6 +127,81 @@ class TestLocalPoolExecutor:
     def test_workbench_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="bogus"):
             make_bench(executor="bogus")
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Count the pools the local executor builds and the jobs it submits."""
+    from repro.experiments import executor
+
+    log = SimpleNamespace(pools=0, jobs=[])
+
+    class RecordingPool(executor.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log.pools += 1
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, payload):
+            log.jobs.append(payload[0])  # _pool_attempt's (job, attempt, traced)
+            return super().submit(fn, payload)
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
+class TestWhereJobsRun:
+    """With ``workers > 1``, batched jobs stay in-process on the trace memo."""
+
+    def test_batched_figure14_plan_never_builds_a_pool(self, pool_log):
+        kernels = [get_kernel(k) for k in KERNELS]
+        bench = Workbench(instructions=INSTRUCTIONS, benchmarks=kernels, workers=2)
+        jobs = plan_figure14(bench)
+        assert {job.kernel for job in jobs} == set(KERNELS)
+        assert all(job.sim == "batched" for job in jobs)
+        assert bench.prefetch(jobs) == len(jobs)
+        assert pool_log.pools == 0
+        clear_trace_memo()
+        serial = Workbench(instructions=INSTRUCTIONS, benchmarks=kernels)
+        assert serial.prefetch(jobs) == len(jobs)
+        for job in jobs:
+            assert results_identical(bench.result_for(job), serial.result_for(job))
+
+    @pytest.mark.parametrize("route", ["job_timeout", "chaos"])
+    def test_timeout_or_chaos_sends_batched_jobs_to_the_pool(
+        self, route, pool_log, monkeypatch
+    ):
+        # Only a pool worker can be killed mid-attempt, and the chaos
+        # suite exercises pool recovery.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        execution = None
+        if route == "job_timeout":
+            execution = ExecutionPolicy(job_timeout=120.0)
+        else:
+            monkeypatch.setenv("REPRO_CHAOS", ChaosConfig().env_value())
+        bench = make_bench(workers=2, execution=execution)
+        jobs = make_jobs(bench)
+        assert all(job.sim == "batched" for job in jobs)
+        assert bench.prefetch(jobs) == len(jobs)
+        assert sorted(pool_log.jobs, key=job_key) == sorted(jobs, key=job_key)
+        for job in jobs:
+            assert results_identical(bench.result_for(job), execute_job(job))
+
+    def test_mixed_plan_pools_only_event_jobs_and_keeps_order(self, pool_log):
+        bench = make_bench()
+        batched = make_jobs(bench)
+        event = [bench.job(get_kernel(k), bench.clustered(2), "readiness") for k in KERNELS]
+        assert {job.sim for job in event} == {"event"}
+        jobs = [batched[0], event[0], batched[1], batched[2], event[1], batched[3]]
+        settled: list = []
+        outcomes = LocalPoolExecutor(workers=2).execute(
+            jobs, on_outcome=lambda outcome: settled.append(outcome.job)
+        )
+        assert [outcome.job for outcome in outcomes] == jobs
+        assert sorted(pool_log.jobs, key=job_key) == sorted(event, key=job_key)
+        # In-process jobs settle first, in submission order.
+        assert settled[: len(batched)] == batched
+        for job, outcome in zip(jobs, outcomes):
+            assert results_identical(outcome.unwrap(), execute_job(job))
 
 
 class TestSpecExecutorField:

@@ -803,6 +803,61 @@ class TestManifestBound:
             assert set(server._manifests) == live
 
 
+class TestWorkbenchBound:
+    def test_bench_keeps_results_and_failures_of_retained_records_only(
+        self, tmp_path
+    ):
+        with BackgroundServer(
+            workers=0, cache_dir=tmp_path / "cache", max_history=1
+        ) as server:
+            client = Client(server.url)
+            chaos.install(
+                chaos.ChaosConfig(
+                    rules=(chaos.FaultRule(mode="error", match={"kernel": "mcf"}),)
+                )
+            )
+            try:
+                doomed = make_spec(
+                    name="doomed",
+                    kernels=("mcf",),
+                    instructions=300,
+                    execution={"max_retries": 0},
+                )
+                sub = client.submit(doomed)
+                assert client.wait(sub["id"])["status"] == "done"
+            finally:
+                chaos.uninstall()
+            assert len(server.bench.failed_outcomes()) == 1
+            for n in range(4):
+                sub = client.submit(make_spec(name=f"distinct-{n}", instructions=300 + n))
+                assert client.wait(sub["id"])["status"] == "done"
+            (record,) = server._records.values()
+            assert [job for job, _ in server.bench.cached_results()] == record.jobs
+            assert server.bench.failed_outcomes() == []
+
+    def test_result_of_a_record_evicted_while_building_is_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        with BackgroundServer(
+            workers=0, cache_dir=tmp_path / "cache", max_history=1
+        ) as server:
+            client = Client(server.url)
+            first = client.submit(make_spec(name="first", instructions=300))
+            assert client.wait(first["id"])["status"] == "done"
+            build = server._build_result
+
+            def build_after_eviction(record):
+                later = client.submit(make_spec(name="later", instructions=301))
+                assert client.wait(later["id"])["status"] == "done"
+                return build(record)
+
+            monkeypatch.setattr(server, "_build_result", build_after_eviction)
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(first["id"])
+            assert excinfo.value.status == 404
+            assert first["id"] not in server._result_cache
+
+
 class TestSpillQuarantine:
     def test_damaged_spill_lines_are_quarantined_once_and_evicted(self, tmp_path):
         from repro.service import DurableStore
