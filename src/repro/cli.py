@@ -150,7 +150,8 @@ def _specs_status(paths: list[str], cache_dir: str | None) -> int:
         manifest = SweepManifest.open(directory, spec_hash(spec), spec.name)
         if not manifest.path.exists():
             print(f"--   {path}: {spec.name!r} has no sweep manifest (never run, "
-                  "fully cached on first pass, or run with --no-resume)")
+                  "fully cached on first pass, run with --no-resume, or run only "
+                  "through `repro serve`: see GET /v1/experiments/{id})")
             continue
         summary = manifest.summary()
         line = (

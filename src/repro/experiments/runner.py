@@ -314,41 +314,43 @@ def _run_tasks(
                 )
             def experiment(b, _spec=spec, _m=manifest):
                 return run_spec(b, _spec, manifest=_m)
-        if args.seeds > 1:
-            # Every seed's workbench shares the main bench's executor, so
-            # a distributed sweep keeps one coordinator (closed once by
-            # main) instead of silently running the seeds locally.
-            figure = run_seeded(
-                experiment,
-                seeds=range(args.seed, args.seed + args.seeds),
-                instructions=args.instructions,
-                benchmarks=benchmarks,
-                workers=args.workers,
-                cache=cache,
-                execution=execution,
-                executor=bench.resolve_executor(),
+        try:
+            if args.seeds > 1:
+                # Every seed's workbench shares the main bench's executor,
+                # so a distributed sweep keeps one coordinator (closed once
+                # by main) instead of silently running the seeds locally.
+                figure = run_seeded(
+                    experiment,
+                    seeds=range(args.seed, args.seed + args.seeds),
+                    instructions=args.instructions,
+                    benchmarks=benchmarks,
+                    workers=args.workers,
+                    cache=cache,
+                    execution=execution,
+                    executor=bench.resolve_executor(),
+                )
+            else:
+                figure = experiment(bench)
+        except SpecError as exc:
+            print(f"bad spec: {exc}", file=sys.stderr)
+            return 2
+        except RunFailureError as exc:
+            print(f"fail-fast: {exc}", file=sys.stderr)
+            return 1
+        except KeyboardInterrupt:
+            # Settled results were flushed to the persistent cache (and
+            # the sweep manifest) as they completed; nothing is lost.
+            print(
+                "\ninterrupted -- completed results are persisted; "
+                "re-run the same command to resume",
+                file=sys.stderr,
             )
+            return 130
+        if args.seeds > 1:
             # The per-seed workbenches are internal to run_seeded; with a
             # cache every executed simulation is stored exactly once.
             simulated = (cache.stores - stores_before) if cache else -1
         else:
-            try:
-                figure = experiment(bench)
-            except SpecError as exc:
-                print(f"bad spec: {exc}", file=sys.stderr)
-                return 2
-            except RunFailureError as exc:
-                print(f"fail-fast: {exc}", file=sys.stderr)
-                return 1
-            except KeyboardInterrupt:
-                # Settled results were flushed to the persistent cache (and
-                # the sweep manifest) as they completed; nothing is lost.
-                print(
-                    "\ninterrupted -- completed results are persisted; "
-                    "re-run the same command to resume",
-                    file=sys.stderr,
-                )
-                return 130
             simulated = bench.simulations_run - simulated_before
         elapsed = time.time() - start
         failed = len(bench.failed_outcomes()) - failed_before

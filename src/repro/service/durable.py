@@ -5,10 +5,12 @@ cells, event journals, quota buckets) because every mutation happens on
 one event loop.  This module makes that state survive the process: an
 append-only journal under ``<cache>/service/`` records every accepted
 submission (the full canonical :class:`~repro.specs.ExperimentSpec`
-payload -- the submission *is* the work order), every per-job
-settlement, every terminal state, and quota balances, so a restarted
-server can replay the file and owe its clients exactly what the dead
-server owed them.
+payload -- the submission *is* the work order), evictions and quota
+balances, and each experiment's SSE event journal is spilled beside it.
+That event log is the experiment's only per-job record: its ``job``
+events are the settlements and its ``done`` / ``error`` event the
+terminal state, so a restarted server can replay both files and owe its
+clients exactly what the dead server owed them.
 
 Every file here is a :class:`~repro.experiments.journal.Journal`, so
 the durability model is the journal's, tuned to the failure the
@@ -22,15 +24,16 @@ damaged jobs simply recompute.
 Layout::
 
     <cache>/service/
-        journal.jsonl                  # submit / settle / terminal / evict / quota
+        journal.jsonl                  # submit / evict / quota
         journal.jsonl.corrupt          # quarantined damaged lines (forensics)
-        events/<exp-id>.jsonl          # spilled SSE journal entries, replayable
+        events/<exp-id>.jsonl          # the SSE journal: status / job / done / error
         events/<exp-id>.jsonl.corrupt  # quarantined damaged spill lines
 
-Event spill files give ``Last-Event-ID`` its cross-restart meaning: the
-in-memory journal keeps only a bounded tail, older entries live here,
-and the SSE stream reads through (memory first, then disk) so a client
-reconnecting after a server restart replays the exact suffix it missed.
+Event spill files also give ``Last-Event-ID`` its cross-restart
+meaning: the in-memory journal keeps only a bounded tail, older entries
+live here, and the SSE stream reads through (memory first, then disk)
+so a client reconnecting after a server restart replays the exact
+suffix it missed.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
     "default_store_dir",
 ]
 
-STORE_SCHEMA = "repro.service_store/1"
+STORE_SCHEMA = "repro.service_store/2"
 
 _JOURNAL = "journal.jsonl"
 _EVENTS_DIR = "events"
@@ -64,20 +67,41 @@ def default_store_dir(cache_root: str | os.PathLike) -> Path:
 
 @dataclass
 class StoredExperiment:
-    """One experiment as reconstructed from the journal."""
+    """One experiment as reconstructed from the journal and its event log."""
 
     id: str
     client: str
     priority: int
     created: float
     spec_payload: dict[str, Any]
-    # key -> {"ok": bool, "source": str, "failure": dict | None}
+    # key -> {"ok": bool, "source": str, "failure": dict | None, "kind": str},
+    # from the first ``job`` event of each key
     settles: dict[str, dict[str, Any]] = field(default_factory=dict)
-    terminal: dict[str, Any] | None = None  # {"status", "finished", "message"}
+    terminal: dict[str, Any] | None = None  # {"status", "finished"}
+    events: int = 0  # entries in the event log
 
     @property
     def status(self) -> str:
         return self.terminal["status"] if self.terminal else "queued"
+
+    def fold(self, entry: dict[str, Any]) -> None:
+        """Apply one event-log entry; raises on a malformed one.
+
+        A ``job`` event settles its key and a ``done`` / ``error`` event
+        is the terminal state; ``status`` events carry nothing to replay.
+        """
+        data, event = entry["data"], entry["event"]
+        if event == "job":
+            # First settle wins, matching note_settled().
+            self.settles.setdefault(str(data["key"]), {
+                "ok": data["status"] == "ok",
+                "source": str(data["source"]),
+                "failure": data.get("failure"),
+                "kind": str(data["kind"]),
+            })
+        elif event in ("done", "error"):
+            finished = self.created + float(data["elapsed_seconds"])
+            self.terminal = {"status": event, "finished": finished}
 
 
 @dataclass
@@ -98,16 +122,6 @@ def _submit_entry(exp_id, client, priority, created, spec) -> dict[str, Any]:
             "priority": int(priority), "created": created, "spec": spec}
 
 
-def _settle_entry(exp_id, key, ok, source, failure=None) -> dict[str, Any]:
-    entry = {"type": "settle", "id": exp_id, "key": key, "ok": bool(ok), "source": source}
-    return entry if failure is None else {**entry, "failure": failure}
-
-
-def _terminal_entry(exp_id, status, finished, message="") -> dict[str, Any]:
-    entry = {"type": "terminal", "id": exp_id, "status": status, "finished": finished}
-    return {**entry, "message": message} if message else entry
-
-
 def _quota_entry(balances: dict[str, float]) -> dict[str, Any]:
     return {"type": "quota", "balances": dict(balances)}
 
@@ -125,23 +139,6 @@ def _apply(entry: dict[str, Any], experiments: dict[str, StoredExperiment],
             spec_payload=dict(entry["spec"]),
         )
         experiments[exp.id] = exp
-    elif kind == "settle":
-        exp = experiments.get(str(entry["id"]))
-        # First settle wins, matching note_settled().
-        if exp is not None and entry["key"] not in exp.settles:
-            exp.settles[str(entry["key"])] = {
-                "ok": bool(entry["ok"]),
-                "source": str(entry.get("source", "")),
-                "failure": entry.get("failure"),
-            }
-    elif kind == "terminal":
-        exp = experiments.get(str(entry["id"]))
-        if exp is not None:
-            exp.terminal = {
-                "status": str(entry["status"]),
-                "finished": entry.get("finished"),
-                "message": str(entry.get("message", "")),
-            }
     elif kind == "evict":
         if experiments.pop(str(entry["id"]), None) is not None:
             result.evicted += 1
@@ -157,8 +154,8 @@ def _apply(entry: dict[str, Any], experiments: dict[str, StoredExperiment],
 class DurableStore:
     """Append-only journal of service state under one directory.
 
-    Thread-safe: the server appends from the event loop *and* (via the
-    workbench settle callback path) from worker threads; one lock
+    Thread-safe: the server appends from the event loop and reads spill
+    files back from worker threads (SSE read-through); one lock
     serializes every append, replay and rewrite.
     """
 
@@ -205,27 +202,6 @@ class DurableStore:
         """Journal an accepted submission (before any job executes)."""
         self._append(_submit_entry(exp_id, client, priority, created, spec_payload))
 
-    def record_settle(
-        self,
-        exp_id: str,
-        key: str,
-        ok: bool,
-        source: str,
-        failure: dict[str, Any] | None = None,
-    ) -> None:
-        """Journal one settled job cell of one experiment."""
-        self._append(_settle_entry(exp_id, key, ok, source, failure))
-
-    def record_terminal(
-        self,
-        exp_id: str,
-        status: str,
-        finished: float | None,
-        message: str = "",
-    ) -> None:
-        """Journal an experiment reaching ``done`` / ``error``."""
-        self._append(_terminal_entry(exp_id, status, finished, message))
-
     def record_evict(self, exp_id: str) -> None:
         """Journal a history eviction and drop the spilled events files."""
         with self._lock:
@@ -248,9 +224,9 @@ class DurableStore:
         """All spilled events for ``exp_id``, in append (= id) order.
 
         Damaged lines are quarantined and the file is rewritten without
-        them, so they are counted once (a torn tail event is simply
-        re-lost; SSE ids stay consistent because replay re-derives the
-        journal from settled state, not from this file).
+        them, so they are counted once.  A torn tail event is simply
+        re-lost: its id is reissued, and a lost ``job`` event's key
+        settles again on recovery.
         """
         with self._lock:
             spill = Journal(self.events_path(exp_id))
@@ -265,48 +241,51 @@ class DurableStore:
                 self.quarantined += spill.quarantined
             return entries
 
-    def event_count(self, exp_id: str) -> int:
-        return len(self.load_events(exp_id))
-
     # -- replay -----------------------------------------------------------
-    def replay(self) -> ReplayResult:
-        """Reconstruct journaled state; quarantine what cannot be parsed."""
+    def _read_journal(self) -> ReplayResult:
+        """Fold ``journal.jsonl`` alone (lock held); quarantine what cannot be parsed."""
         result = ReplayResult()
         experiments: dict[str, StoredExperiment] = {}
-        with self._lock:
-            before = self._journal.quarantined
-            for entry in self._journal.read():
-                try:
-                    _apply(entry, experiments, result)
-                except (KeyError, TypeError, ValueError):
-                    self._journal.quarantine(entry)
-            result.quarantined = self._journal.quarantined - before
-            self.quarantined += result.quarantined
+        before = self._journal.quarantined
+        for entry in self._journal.read():
+            try:
+                _apply(entry, experiments, result)
+            except (KeyError, TypeError, ValueError):
+                self._journal.quarantine(entry)
+        result.quarantined = self._journal.quarantined - before
+        self.quarantined += result.quarantined
         result.experiments = list(experiments.values())
+        return result
+
+    def replay(self) -> ReplayResult:
+        """Reconstruct stored state: the journal, then each live event log."""
+        with self._lock:
+            result = self._read_journal()
+            for exp in result.experiments:
+                events = self.load_events(exp.id)
+                exp.events = len(events)
+                for entry in events:
+                    try:
+                        exp.fold(entry)
+                    except (KeyError, TypeError, ValueError):
+                        pass  # a damaged event replays as if it were never written
         return result
 
     # -- compaction --------------------------------------------------------
     def compact(self) -> int:
         """Rewrite the journal as its own minimal replay; returns live count.
 
-        Collapses duplicate settles, drops evicted experiments, keeps only
-        the final quota snapshot, and sweeps the event-spill files (and
-        their quarantines) of experiments no longer live.  Atomic: readers
-        see the old journal or the new one.
+        Keeps one ``submit`` line per live experiment and only the final
+        quota snapshot, and sweeps the event-spill files (and their
+        quarantines) of experiments no longer live.  Atomic: readers see
+        the old journal or the new one.
         """
         with self._lock:
-            replayed = self.replay()
-            entries = []
-            for exp in replayed.experiments:
-                entries.append(_submit_entry(
-                    exp.id, exp.client, exp.priority, exp.created, exp.spec_payload
-                ))
-                entries.extend(
-                    _settle_entry(exp.id, key, **settle)
-                    for key, settle in exp.settles.items()
-                )
-                if exp.terminal is not None:
-                    entries.append(_terminal_entry(exp.id, **exp.terminal))
+            replayed = self._read_journal()
+            entries = [
+                _submit_entry(exp.id, exp.client, exp.priority, exp.created, exp.spec_payload)
+                for exp in replayed.experiments
+            ]
             if replayed.quota:
                 entries.append(_quota_entry(replayed.quota))
             self._journal.rewrite(entries)
@@ -318,9 +297,6 @@ class DurableStore:
             return len(replayed.experiments)
 
     # -- bookkeeping -------------------------------------------------------
-    def flush(self) -> None:
-        """Nothing to do: every append reaches the OS before it returns."""
-
     def stats(self) -> dict[str, Any]:
         """Counters and layout for readiness probes / the stats endpoint."""
         try:

@@ -6,8 +6,9 @@ content-addressed :class:`~repro.experiments.cache.RunCache` is the
 dedupe substrate, the workbench's
 :class:`~repro.experiments.executor.Executor`
 (:meth:`~repro.experiments.harness.Workbench.prefetch`) does the work, and
-:class:`~repro.experiments.manifest.SweepManifest` journals per-job
-progress that the status and SSE endpoints replay.
+each experiment's event journal -- the SSE stream, spilled to the
+durable store -- is its one per-job record, which the status and SSE
+endpoints and boot recovery all read.
 
 Endpoints (all JSON; errors are ``repro.service_error/1`` payloads):
 
@@ -18,8 +19,8 @@ Endpoints (all JSON; errors are ``repro.service_error/1`` payloads):
   :class:`~repro.service.scheduler.CoalescingRegistry` into
   execute / coalesced / cached, and the residual jobs are queued by
   priority (``execution.priority`` in the spec).
-* ``GET /v1/experiments/{id}`` -- status: job counters plus the sweep
-  manifest summary.
+* ``GET /v1/experiments/{id}`` -- status: lifecycle state and job
+  counters.
 * ``GET /v1/experiments/{id}/events`` -- server-sent events; every event
   carries an ``id``, and ``Last-Event-ID`` (or ``?after=N``) replays the
   journal suffix after a reconnect.
@@ -36,7 +37,7 @@ Endpoints (all JSON; errors are ``repro.service_error/1`` payloads):
   and admission state in the body.
 
 Threading model: the event loop owns all experiment state (records,
-registry, manifests map); exactly one worker task drains the priority
+registry, quotas); exactly one worker task drains the priority
 queue and runs each submission's residual jobs in a thread via
 ``asyncio.to_thread``, which fans per-job settlements back onto the loop
 with ``call_soon_threadsafe``.  The single worker serializes access to
@@ -48,15 +49,17 @@ leaves the registry -- so at every instant an overlapping key is either
 in flight (coalesce) or cached (hit), never re-executed.
 
 Durability (:mod:`repro.service.durable`): with a cache directory the
-server write-ahead journals every accepted submission, settlement and
-terminal state under ``<cache>/service/``.  On boot it replays the
-journal -- reconstructing records under their original ids, settling
-already-cached jobs as cache hits and re-claiming residual jobs through
-the coalescing registry -- so a ``kill -9`` mid-sweep costs only the
-jobs that had not settled.  SIGTERM/SIGINT trigger a *graceful drain*:
-new submissions get typed 503 ``draining`` errors, the in-flight sweep
-checkpoints at its next settle boundary, and the store is flushed and
-compacted before exit.  Overload sheds with typed 503 ``overloaded``
+server write-ahead journals every accepted submission under
+``<cache>/service/`` and spills every event beside it, so each settle
+is one ``job`` event written after its result is in the run cache and
+each terminal state is the ``done`` / ``error`` event.  On boot it
+replays both -- reconstructing records under their original ids and
+re-claiming their unsettled keys through the same path as a fresh
+submission -- so a ``kill -9`` mid-sweep costs only the jobs that had
+not settled.  SIGTERM/SIGINT trigger a *graceful drain*: new
+submissions get typed 503 ``draining`` errors, the in-flight sweep
+checkpoints at its next settle boundary, and the store is compacted
+before exit.  Overload sheds with typed 503 ``overloaded``
 (admission caps), and a circuit breaker around the distributed executor
 degrades to the local pool (or holds) when workers are unreachable.
 """
@@ -73,7 +76,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.experiments.cache import RunCache, job_key
 from repro.experiments.executor import BreakerExecutor, CircuitBreaker, LocalPoolExecutor
 from repro.experiments.harness import DEFAULT_INSTRUCTIONS, Workbench
-from repro.experiments.manifest import SweepManifest, default_manifest_dir
 from repro.experiments.outcomes import (
     ExecutionInterrupted,
     ExecutionPolicy,
@@ -84,7 +86,7 @@ from repro.experiments.sweep import run_report, run_spec, spec_execution
 from repro.service.durable import DurableStore, default_store_dir
 from repro.service.errors import ServiceError
 from repro.service.quota import QuotaManager
-from repro.service.scheduler import AdmissionController, CoalescingRegistry, queue_key
+from repro.service.scheduler import AdmissionController, Claim, CoalescingRegistry, queue_key
 from repro.service.state import ExperimentRecord, JobCell
 from repro.specs import ExperimentSpec, SpecError, spec_hash
 
@@ -174,6 +176,16 @@ def _sse_event(entry: dict[str, Any]) -> bytes:
     return (
         f"id: {entry['id']}\nevent: {entry['event']}\ndata: {data}\n\n"
     ).encode("utf-8")
+
+
+def _job_cells(jobs) -> dict[str, JobCell]:
+    """One pending cell per distinct job key, first job first."""
+    cells: dict[str, JobCell] = {}
+    for job in jobs:
+        key = job_key(job)
+        if key not in cells:
+            cells[key] = JobCell(job=job, key=key, kind="execute")
+    return cells
 
 
 class ReproServer:
@@ -268,7 +280,6 @@ class ReproServer:
         self.started = time.time()
 
         self._records: dict[str, ExperimentRecord] = {}
-        self._manifests: dict[str, SweepManifest] = {}
         self._result_cache: dict[str, dict[str, Any]] = {}
         self._history: list[str] = []  # finished record ids, oldest first
         self._seq = 0
@@ -360,17 +371,6 @@ class ReproServer:
         record.max_events = self.max_events_memory
         record.on_event = lambda entry: store.append_event(exp_id, entry)
 
-    def _journal_settle(
-        self,
-        record: ExperimentRecord,
-        key: str,
-        ok: bool,
-        source: str,
-        failure: dict[str, Any] | None = None,
-    ) -> None:
-        if self.store is not None:
-            self.store.record_settle(record.id, key, ok, source, failure)
-
     def _flush_store(self) -> None:
         """Snapshot quota balances and compact the journal (drain/exit)."""
         if self.store is None:
@@ -379,19 +379,19 @@ class ReproServer:
             self.store.record_quota(self.quota.export_state())
         self.store.compact()
 
-    _SETTLE_KINDS = {"cache": "cached", "memory": "cached", "coalesced": "coalesced"}
-
     def _recover(self) -> None:
         """Replay the durable store: rebuild records, re-enqueue residue.
 
         Runs once at boot, on the event loop, before the worker task and
-        before any submission.  Stored settles apply silently (their
-        events are already in the spill files); still-pending keys are
-        re-claimed through the coalescing registry in original submission
-        order, so exactly-once execution holds across the crash exactly
-        as it held across submissions.
+        before any submission.  Each record settles, silently, the keys
+        its event log holds ``job`` events for (those events are already
+        on disk), and a ``done`` / ``error`` event restores it finished.
+        An unfinished record's other keys go through :meth:`_claim` in
+        original submission order, exactly as a fresh submission's do,
+        so exactly-once execution holds across the crash exactly as it
+        held across submissions.
         """
-        assert self.store is not None and self._queue is not None
+        assert self.store is not None
         replayed = self.store.replay()
         if replayed.quota:
             self.quota.restore_state(replayed.quota)
@@ -415,53 +415,28 @@ class ReproServer:
                 client=stored.client,
                 priority=stored.priority,
                 jobs=list(jobs),
+                cells=_job_cells(jobs),
                 created=stored.created,
+                events_base=stored.events,
             )
-            record.events_base = self.store.event_count(record.id)
             self._attach_store(record)
-            first_job: dict[str, Any] = {}
-            for job in jobs:
-                first_job.setdefault(job_key(job), job)
-            for key, job in first_job.items():
-                settle = stored.settles.get(key)
-                kind = (
-                    self._SETTLE_KINDS.get(settle["source"], "execute")
-                    if settle is not None
-                    else "execute"
-                )
-                record.cells[key] = JobCell(job=job, key=key, kind=kind)
-                if settle is not None:
+            for key, settle in stored.settles.items():
+                cell = record.cells.get(key)
+                if cell is not None:
+                    cell.kind = settle["kind"]
                     record.note_settled(
-                        key, settle["ok"], settle["source"],
-                        settle.get("failure"), publish=False,
+                        key, settle["ok"], settle["source"], settle["failure"],
+                        publish=False,
                     )
             self._records[record.id] = record
             self.recovered += 1
             if stored.terminal is not None:
                 record.status = stored.terminal["status"]
-                finished = stored.terminal.get("finished")
-                record.finished = float(finished) if finished else time.time()
+                record.finished = stored.terminal["finished"]
                 self._history.append(record.id)
                 continue
-            # Residual work: partition still-pending keys through the
-            # registry, exactly as _submit does for a fresh submission.
-            record.status = "queued"
             self.admission.admit(record.client, force=True)
-            pending = [cell.key for cell in record.pending_cells()]
-            claim = self.registry.claim(
-                record, pending, is_cached=lambda k: self._is_cached(first_job[k])
-            )
-            run_jobs = []
-            for key in claim.execute:
-                run_jobs.append(first_job[key])
-            for key in claim.cached:
-                record.cells[key].kind = "cached"
-                record.note_settled(key, True, "cache", publish=False)
-                self._journal_settle(record, key, True, "cache")
-                run_jobs.append(first_job[key])  # prefetch-only: 0 executed
-            for key in claim.coalesced:
-                record.cells[key].kind = "coalesced"
-            self.jobs_cached += len(claim.cached)
+            claim = self._claim(record, seq)
             self.recovered_jobs += len(claim.execute)
             if self.tracer is not None:
                 self.tracer.event(
@@ -471,10 +446,6 @@ class ReproServer:
                     cached=len(claim.cached),
                     coalesced=len(claim.coalesced),
                 )
-            if run_jobs:
-                self._queue.put_nowait((queue_key(record.priority, seq), record, run_jobs))
-            else:
-                self._maybe_finalize(record)
 
     # -- graceful drain --------------------------------------------------
     def request_drain(self) -> None:
@@ -493,9 +464,9 @@ class ReproServer:
         New submissions get typed 503 ``draining`` errors immediately;
         the in-flight sweep (if any) stops at its next settle boundary
         via the ``should_stop`` seam -- everything already settled is in
-        the cache and the journal, the residue stays pending on disk for
-        the next boot.  Once execution quiesces the store is flushed and
-        :meth:`wait_drained` wakes.
+        the cache and the event log, the residue stays pending on disk
+        for the next boot.  Once execution quiesces the store is flushed
+        and :meth:`wait_drained` wakes.
         """
         if self._draining:
             return
@@ -554,15 +525,10 @@ class ReproServer:
                 "invalid_spec", str(exc), detail={"schema": "repro.experiment_spec/1"}
             ) from exc
 
-        first_job: dict[str, Any] = {}
-        keys: list[str] = []
-        for job in jobs:
-            key = job_key(job)
-            keys.append(key)
-            first_job.setdefault(key, job)
+        cells = _job_cells(jobs)
         self.admission.admit(client)
         try:
-            self.quota.charge(client, len(first_job))
+            self.quota.charge(client, len(cells))
         except ServiceError:
             self.admission.release(client)
             raise
@@ -578,6 +544,7 @@ class ReproServer:
             client=client,
             priority=priority,
             jobs=list(jobs),
+            cells=cells,
         )
         self._attach_store(record)
         if self.store is not None:
@@ -587,32 +554,15 @@ class ReproServer:
             self.store.record_submit(
                 record.id, client, priority, record.created, spec.to_dict()
             )
-        claim = self.registry.claim(
-            record,
-            keys,
-            is_cached=lambda k: self._is_cached(first_job[k]),
-        )
-        execute, coalesced = set(claim.execute), set(claim.coalesced)
-        run_jobs = []
-        for key, job in first_job.items():
-            if key in execute:
-                kind = "execute"
-                run_jobs.append(job)
-            elif key in coalesced:
-                kind = "coalesced"
-            else:
-                kind = "cached"
-                run_jobs.append(job)  # prefetch pulls it into memory, 0 executed
-            record.cells[key] = JobCell(job=job, key=key, kind=kind)
-        self.jobs_cached += len(claim.cached)
         self._records[record.id] = record
         self.submitted += 1
+        claim = self._claim(record, self._seq)
         if self.tracer is not None:
             self.tracer.event(
                 "service.submit",
                 id=record.id,
                 client=client,
-                jobs=len(first_job),
+                jobs=len(cells),
                 execute=len(claim.execute),
                 coalesced=len(claim.coalesced),
                 cached=len(claim.cached),
@@ -621,18 +571,41 @@ class ReproServer:
                 self.tracer.event(
                     "service.coalesce", id=record.id, keys=len(claim.coalesced)
                 )
+        return record.status_payload()
+
+    def _claim(self, record: ExperimentRecord, seq: int) -> Claim:
+        """Claim a record's pending keys, then queue its run or finish it.
+
+        The one path for a fresh submission and for a record recovered
+        at boot.  The keys partition through the coalescing registry,
+        the record publishes ``queued``, cached keys settle as cache
+        hits, and the keys to execute go to the worker queue together
+        with the cached ones (the prefetch pulls those into memory and
+        executes nothing).
+        """
+        claim = self.registry.claim(
+            record,
+            [cell.key for cell in record.pending_cells()],
+            is_cached=lambda key: self._is_cached(record.cells[key].job),
+        )
+        for key in claim.coalesced:
+            record.cells[key].kind = "coalesced"
+        for key in claim.cached:
+            record.cells[key].kind = "cached"
+        self.jobs_cached += len(claim.cached)
         record.publish("status", {"status": "queued", "jobs": record.job_counts()})
         for key in claim.cached:
-            if record.note_settled(key, True, "cache"):
-                self._journal_settle(record, key, True, "cache")
+            record.note_settled(key, True, "cache")
+        run = {*claim.execute, *claim.cached}
+        run_jobs = [cell.job for cell in record.cells.values() if cell.key in run]
         if run_jobs:
             assert self._queue is not None
-            self._queue.put_nowait((queue_key(priority, self._seq), record, run_jobs))
+            self._queue.put_nowait((queue_key(record.priority, seq), record, run_jobs))
         else:
-            # Everything rides on other submissions' flights (or the spec
-            # was empty of work): completion comes from fan-out alone.
+            # Everything rides on other submissions' flights (or nothing
+            # is left to run): completion comes from fan-out alone.
             self._maybe_finalize(record)
-        return record.status_payload(self._manifest_summary(record))
+        return claim
 
     def _is_cached(self, job) -> bool:
         if self.bench.result_for(job) is not None:
@@ -658,7 +631,7 @@ class ReproServer:
             except ExecutionInterrupted:
                 if self._draining and self.store is not None:
                     # Drain checkpoint: everything settled so far is in
-                    # the cache and the journal; the record stays
+                    # the cache and the event log; the record stays
                     # non-terminal so recovery resumes the residue.
                     record.status = "queued"
                     record.publish("status", {"status": "queued", "drained": True})
@@ -677,13 +650,9 @@ class ReproServer:
 
     def _execute_jobs(self, record: ExperimentRecord, run_jobs: list) -> None:
         """Worker thread: run one submission's residual jobs."""
-        manifest = self._manifest_for(record)
 
         def on_outcome(outcome: JobOutcome) -> None:
             key = job_key(outcome.job)
-            if manifest is not None:
-                manifest.record(key, outcome)
-                manifest.save()
             info = {
                 "ok": outcome.ok,
                 "source": outcome.source,
@@ -696,42 +665,20 @@ class ReproServer:
             # The registry handed these jobs here to run: an earlier
             # failure of the same key must not stand in for the retry.
             self.bench.forget_failures(run_jobs)
-            try:
-                self.bench.prefetch(
-                    run_jobs,
-                    on_outcome=on_outcome,
-                    should_stop=self._stop_event.is_set,
-                )
-            finally:
-                if manifest is not None:
-                    manifest.save(force=True)
-
-    def _manifest_for(self, record: ExperimentRecord) -> SweepManifest | None:
-        if self.cache is None:
-            return None
-        manifest = self._manifests.get(record.spec_hash)
-        if manifest is None:
-            manifest = SweepManifest.open(
-                default_manifest_dir(self.cache.root),
-                record.spec_hash,
-                record.spec.name,
+            self.bench.prefetch(
+                run_jobs,
+                on_outcome=on_outcome,
+                should_stop=self._stop_event.is_set,
             )
-            self._manifests[record.spec_hash] = manifest
-        return manifest
-
-    def _manifest_summary(self, record: ExperimentRecord) -> dict[str, int] | None:
-        manifest = self._manifests.get(record.spec_hash)
-        return manifest.summary() if manifest is not None else None
 
     # -- settlement fan-out (event loop) --------------------------------
     def _fan_out(self, record: ExperimentRecord, key: str, info: dict[str, Any]) -> None:
         parties = self.registry.settle(key) or [record]
         if len(parties) > 1 and self.tracer is not None:
             self.tracer.event("service.fanout", key=key, parties=len(parties))
-        for index, party in enumerate(parties):
+        for party in parties:
             source = info["source"] if party is record else "coalesced"
-            if party.note_settled(key, info["ok"], source, info["failure"]):
-                self._journal_settle(party, key, info["ok"], source, info["failure"])
+            party.note_settled(key, info["ok"], source, info["failure"])
             self._maybe_finalize(party)
 
     def _sweep_record(self, record: ExperimentRecord) -> None:
@@ -775,9 +722,7 @@ class ReproServer:
         record.finished = time.time()
         self.completed += 1
         self.admission.release(record.client)
-        if self.store is not None:
-            self.store.record_terminal(record.id, "done", record.finished)
-        record.publish("done", record.status_payload(self._manifest_summary(record)))
+        record.publish("done", record.status_payload())
         self._retire(record)
 
     def _fail_record(self, record: ExperimentRecord, message: str) -> None:
@@ -797,23 +742,14 @@ class ReproServer:
         # keys leave the registry for the next submission to retry.
         for flight in self.registry.forfeit(record):
             for party in flight.parties():
-                if party is record:
-                    if party.note_settled(
-                        flight.key, False, "run", failure, publish=False
-                    ):
-                        self._journal_settle(party, flight.key, False, "run", failure)
-                else:
-                    if party.note_settled(flight.key, False, "coalesced", failure):
-                        self._journal_settle(
-                            party, flight.key, False, "coalesced", failure
-                        )
+                source = "run" if party is record else "coalesced"
+                party.note_settled(flight.key, False, source, failure)
+                if party is not record:
                     self._maybe_finalize(party)
         record.status = "error"
         record.finished = time.time()
         self.errors += 1
         self.admission.release(record.client)
-        if self.store is not None:
-            self.store.record_terminal(record.id, "error", record.finished, message)
         record.publish("error", {"message": message, **record.status_payload()})
         self._retire(record)
 
@@ -825,13 +761,10 @@ class ReproServer:
             self._result_cache.pop(victim, None)
             if evicted is not None:
                 retained = list(self._records.values())
-                if all(r.spec_hash != evicted.spec_hash for r in retained):
-                    # The manifest file stays; only its in-memory copy goes.
-                    self._manifests.pop(evicted.spec_hash, None)
-                # Likewise the run cache keeps the results.  A running
-                # sweep's jobs are all listed by its own, retained record,
-                # so this need not wait for the bench lock (a result being
-                # built for the evicted record is not served).
+                # The run cache keeps the results.  A running sweep's jobs
+                # are all listed by its own, retained record, so this need
+                # not wait for the bench lock (a result being built for the
+                # evicted record is not served).
                 self.bench.forget(
                     cell.job
                     for key, cell in evicted.cells.items()
@@ -847,7 +780,7 @@ class ReproServer:
     def _build_result(self, record: ExperimentRecord) -> dict[str, Any]:
         """Worker thread: assemble the RunReport (+figure) for one record."""
         with self._bench_lock:
-            # Failed cells (also those recovered from the journal) go into
+            # Failed cells (also those recovered from the event log) go into
             # the failure ledger, so rendering reports them, not re-runs.
             for cell in record.cells.values():
                 if cell.status == "failed":
@@ -967,7 +900,7 @@ class ReproServer:
                 raise ServiceError("method_not_allowed", f"{method} {path}")
             record = self._record_or_404(exp_id)
             if tail is None:
-                await send(200, record.status_payload(self._manifest_summary(record)))
+                await send(200, record.status_payload())
                 return
             if tail == "result":
                 if record.status == "error":

@@ -20,7 +20,11 @@ recent ``max_events`` entries (``events_base`` counts the spilled
 prefix), and SSE replay reads through -- disk for the spilled prefix,
 memory for the live tail.  Ids are assigned from ``events_total``, so
 they stay dense and strictly increasing across trims *and* across
-server restarts.
+server restarts.  The spilled journal is also the experiment's only
+durable per-job record: a restarted server settles each key from its
+first ``job`` event and takes the terminal state from the ``done`` /
+``error`` event, so every settle publishes its event
+(``note_settled(publish=False)`` only re-applies stored settles at boot).
 """
 
 from __future__ import annotations
@@ -142,11 +146,11 @@ class ExperimentRecord:
         source: str,
         failure: dict[str, Any] | None = None,
         publish: bool = True,
-    ) -> bool:
-        """Record one settled key; returns True if it was still pending."""
+    ) -> None:
+        """Record one settled key and publish its ``job`` event; first settle wins."""
         cell = self.cells.get(key)
         if cell is None or cell.settled:
-            return False
+            return
         cell.status = "ok" if ok else "failed"
         cell.source = source
         cell.failure = failure
@@ -162,7 +166,6 @@ class ExperimentRecord:
             if failure is not None:
                 data["failure"] = failure
             self.publish("job", data)
-        return True
 
     @property
     def terminal(self) -> bool:
@@ -192,9 +195,7 @@ class ExperimentRecord:
                 counts["failed"] += 1
         return counts
 
-    def status_payload(
-        self, manifest_summary: dict[str, int] | None = None
-    ) -> dict[str, Any]:
+    def status_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "id": self.id,
             "name": self.spec.name,
@@ -208,6 +209,4 @@ class ExperimentRecord:
         }
         if self.finished is not None:
             payload["elapsed_seconds"] = round(self.finished - self.created, 6)
-        if manifest_summary is not None:
-            payload["manifest"] = manifest_summary
         return payload

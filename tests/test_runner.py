@@ -90,3 +90,44 @@ class TestSeededAndJson:
         payload = json.loads((tmp_path / "figure8.json").read_text())
         assert payload["figure_id"] == "Figure 8"
         assert len(payload["rows"]) == 21
+
+
+class TestSeededErrors:
+    """``--seeds N`` handles a bad spec and ``--fail-fast`` like one seed."""
+
+    def _spec(self, tmp_path, **fields):
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "seeded",
+                    "instructions": 300,
+                    "workloads": [{"kernel": "gzip"}, {"kernel": "mcf"}],
+                    "sweeps": [{"machines": [{"clusters": 2}], "policies": ["l"]}],
+                    **fields,
+                }
+            )
+        )
+        return str(path)
+
+    def test_figure_link_mismatch_is_a_bad_spec(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, figure="figure14")
+        assert main(["--spec", spec, "--seeds", "2", "--no-cache"]) == 2
+        assert "bad spec:" in capsys.readouterr().err
+
+    def test_fail_fast_exits_1(self, tmp_path, capsys):
+        from repro.testing import chaos
+
+        spec = self._spec(tmp_path)
+        chaos.install(lambda job, attempt: "error" if job.kernel == "mcf" else None)
+        try:
+            code = main(
+                ["--spec", spec, "--seeds", "2", "--no-cache",
+                 "--fail-fast", "--max-retries", "0"]
+            )
+        finally:
+            chaos.uninstall()
+        assert code == 1
+        assert "fail-fast:" in capsys.readouterr().err

@@ -19,6 +19,8 @@ service's core guarantees:
 * a SIGKILLed server restarted on the same cache dir completes the
   original experiment id bit-identically, re-simulating only the jobs
   its write-ahead store never saw settle;
+* a crash after any append leaves, once restarted, one ``job`` event
+  per key and one final ``done`` on the experiment's SSE stream;
 * graceful drain sheds new submissions with a typed 503 and
   checkpoints in-flight sweeps for the next incarnation;
 * an unreachable distributed backend trips the circuit breaker and the
@@ -147,7 +149,6 @@ class TestRoundTrip:
         assert final["status"] == "done"
         assert final["jobs"]["completed"] == final["jobs"]["total"] == 1
         assert final["jobs"]["failed"] == 0
-        assert "manifest" in final  # journal summary rides on status
 
         events = list(client.events(sub["id"]))
         names = [e["event"] for e in events]
@@ -789,20 +790,6 @@ class TestManifestFile:
         assert set(again.entries) == {"k0", "k1", "k2", "k3"}
 
 
-class TestManifestBound:
-    def test_server_keeps_manifests_of_retained_records_only(self, tmp_path):
-        with BackgroundServer(
-            workers=0, cache_dir=tmp_path / "cache", max_history=1
-        ) as server:
-            client = Client(server.url)
-            for n in range(4):
-                sub = client.submit(make_spec(name=f"distinct-{n}", instructions=300 + n))
-                assert client.wait(sub["id"])["status"] == "done"
-            live = {record.spec_hash for record in server._records.values()}
-            assert len(live) == 1
-            assert set(server._manifests) == live
-
-
 class TestWorkbenchBound:
     def test_bench_keeps_results_and_failures_of_retained_records_only(
         self, tmp_path
@@ -871,7 +858,7 @@ class TestSpillQuarantine:
         assert [e["id"] for e in store.load_events("exp-000001")] == [1, 3]
         corrupt = spill.with_name(spill.name + ".corrupt")
         assert corrupt.read_text() == '{"id": 2, "ev\n'
-        assert store.event_count("exp-000001") == 2
+        assert len(store.load_events("exp-000001")) == 2
         assert store.stats()["quarantined"] == 1  # moved aside, counted once
         store.record_evict("exp-000001")
         assert not spill.exists() and not corrupt.exists()
@@ -939,6 +926,12 @@ class TestCli:
 # ---------------------------------------------------------------------------
 
 
+def _job_event(event_id, key, status="ok", source="run", **extra):
+    """One ``job`` entry of an experiment's event log."""
+    data = {"key": key, "status": status, "kind": "execute", "source": source}
+    return {"id": event_id, "event": "job", "data": {**data, **extra}}
+
+
 class TestDurableStore:
     def test_journal_round_trips_through_replay(self, tmp_path):
         from repro.service import DurableStore
@@ -946,13 +939,17 @@ class TestDurableStore:
         store = DurableStore(tmp_path / "service")
         spec = make_spec()
         store.record_submit("exp-000001", "alice", 2, 123.0, spec.to_dict())
-        store.record_settle("exp-000001", "k1", True, "run")
-        store.record_settle(
-            "exp-000001", "k2", False, "run", failure={"kind": "error"}
+        store.append_event("exp-000001", {"id": 1, "event": "status", "data": {}})
+        store.append_event("exp-000001", _job_event(2, "k1"))
+        store.append_event(
+            "exp-000001", _job_event(3, "k2", "failed", failure={"kind": "error"})
         )
-        store.record_settle("exp-000001", "k1", True, "cache")  # dupe: first wins
+        store.append_event("exp-000001", _job_event(4, "k1", source="cache"))  # dupe
         store.record_quota({"alice": 1.5})
-        store.record_terminal("exp-000001", "done", 124.0)
+        store.append_event(
+            "exp-000001",
+            {"id": 5, "event": "done", "data": {"status": "done", "elapsed_seconds": 1.25}},
+        )
         store.close()
 
         replayed = DurableStore(tmp_path / "service").replay()
@@ -963,28 +960,42 @@ class TestDurableStore:
             "exp-000001", "alice", 2, 123.0,
         )
         assert exp.spec_payload == spec.to_dict()
-        assert exp.settles["k1"] == {"ok": True, "source": "run", "failure": None}
+        # the first job event of a key wins, matching note_settled()
+        assert exp.settles["k1"] == {
+            "ok": True, "source": "run", "failure": None, "kind": "execute",
+        }
+        assert not exp.settles["k2"]["ok"]
         assert exp.settles["k2"]["failure"] == {"kind": "error"}
-        assert exp.terminal["status"] == "done" and exp.status == "done"
+        assert exp.terminal == {"status": "done", "finished": 124.25}
+        assert exp.status == "done" and exp.events == 5
+        # the journal itself holds only what no event records
+        lines = store.journal_path.read_text().splitlines()
+        assert [json.loads(line)["type"] for line in lines] == ["submit", "quota"]
 
     def test_corrupt_and_truncated_lines_are_quarantined(self, tmp_path):
         from repro.service import DurableStore
 
         store = DurableStore(tmp_path / "service")
         store.record_submit("exp-000001", "a", 0, 1.0, make_spec().to_dict())
-        store.record_settle("exp-000001", "k1", True, "run")
+        store.append_event("exp-000001", _job_event(1, "k1"))
         store.close()
         with open(store.journal_path, "a", encoding="utf-8") as fh:
             fh.write("this is not json\n")
-            fh.write('{"type": "settle", "id": "exp-000001"\n')  # torn tail
+            fh.write('{"type": "submit", "id": "exp-000002"\n')  # torn tail
+        with open(store.events_path("exp-000001"), "a", encoding="utf-8") as fh:
+            fh.write('{"id": 2, "event": "job", "data": {"key": "k2"')  # torn tail
 
         fresh = DurableStore(tmp_path / "service")
         replayed = fresh.replay()
         assert replayed.quarantined == 2
         assert fresh.quarantine_path.exists()
         assert len(fresh.quarantine_path.read_text().splitlines()) == 2
+        assert fresh.stats()["quarantined"] == 3  # the torn event too
         [exp] = replayed.experiments  # intact prefix fully recovered
-        assert exp.settles == {"k1": {"ok": True, "source": "run", "failure": None}}
+        assert exp.settles == {
+            "k1": {"ok": True, "source": "run", "failure": None, "kind": "execute"},
+        }
+        assert exp.events == 1 and exp.terminal is None
 
     def test_evict_drops_experiment_and_events(self, tmp_path):
         from repro.service import DurableStore
@@ -992,7 +1003,7 @@ class TestDurableStore:
         store = DurableStore(tmp_path / "service")
         store.record_submit("exp-000001", "a", 0, 1.0, make_spec().to_dict())
         store.append_event("exp-000001", {"id": 1, "event": "status", "data": {}})
-        assert store.event_count("exp-000001") == 1
+        assert len(store.load_events("exp-000001")) == 1
         store.record_evict("exp-000001")
         assert not store.events_path("exp-000001").exists()
         assert store.replay().experiments == []
@@ -1004,12 +1015,13 @@ class TestDurableStore:
         spec = make_spec()
         store.record_submit("exp-000001", "a", 0, 1.0, spec.to_dict())
         store.record_submit("exp-000002", "a", 0, 2.0, spec.to_dict())
-        store.record_settle("exp-000001", "k1", True, "run")
-        store.record_terminal("exp-000001", "done", 3.0)
+        store.append_event("exp-000001", _job_event(1, "k1"))
+        store.append_event(
+            "exp-000001", {"id": 2, "event": "done", "data": {"elapsed_seconds": 2.0}}
+        )
         store.record_evict("exp-000002")
         store.record_quota({"a": 2.0})
         store.record_quota({"a": 1.0})  # last snapshot wins
-        store.append_event("exp-000001", {"id": 1, "event": "status", "data": {}})
         store.append_event("exp-gone", {"id": 1, "event": "status", "data": {}})
         assert store.compact() == 1
         assert not list(store.root.glob("*.tmp-*"))
@@ -1019,10 +1031,11 @@ class TestDurableStore:
         replayed = DurableStore(tmp_path / "service").replay()
         [exp] = replayed.experiments
         assert exp.id == "exp-000001" and exp.status == "done"
+        assert set(exp.settles) == {"k1"}
         assert replayed.quota == {"a": 1.0}
-        # compacted journal is minimal: submit + settle + terminal + quota
+        # compacted journal is minimal: submit + quota
         lines = store.journal_path.read_text().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 2
 
     def test_event_spill_reads_back_in_order(self, tmp_path):
         from repro.service import DurableStore
@@ -1062,8 +1075,8 @@ class TestRecovery:
 
     def test_mid_sweep_crash_recovery_is_bit_identical(self, tmp_path):
         # Forge the exact on-disk state a kill -9 mid-sweep leaves behind:
-        # the submission journaled, one of three jobs settled (and its
-        # result in the run cache), no terminal entry.
+        # the submission journaled, one of three jobs settled (its result
+        # in the run cache and its job event logged), no done event.
         from repro.experiments.cache import RunCache
         from repro.service import DurableStore, default_store_dir
 
@@ -1075,7 +1088,7 @@ class TestRecovery:
 
         store = DurableStore(default_store_dir(cache_dir))
         store.record_submit("exp-000007", "alice", 0, 100.0, spec.to_dict())
-        store.record_settle("exp-000007", job_key(jobs[0]), True, "run")
+        store.append_event("exp-000007", _job_event(1, job_key(jobs[0])))
         store.close()
 
         with BackgroundServer(workers=0, cache_dir=cache_dir) as server:
@@ -1091,6 +1104,11 @@ class TestRecovery:
             assert stats["durability"]["recovered"] == {
                 "experiments": 1, "requeued_jobs": 2,
             }
+            # one job event per key, ids dense across the restart
+            events = list(client.events("exp-000007"))
+            keys = [e["data"]["key"] for e in events if e["event"] == "job"]
+            assert sorted(keys) == sorted({job_key(job) for job in jobs})
+            assert [e["id"] for e in events] == list(range(1, len(events) + 1))
             # recovered ids stay authoritative: the next submission does
             # not collide
             fresh = client.submit(make_spec(name="after", kernels=("gcc",)))
@@ -1124,14 +1142,15 @@ class TestRecovery:
         store = DurableStore(default_store_dir(cache_dir))
         store.record_submit("exp-000001", "a", 0, 1.0, spec.to_dict())
         store.close()
-        with open(store.journal_path, "a", encoding="utf-8") as fh:
-            fh.write('{"type": "settle", "id": "exp-000001", "key": "k1"')  # torn
+        spill = store.events_path("exp-000001")
+        with open(spill, "a", encoding="utf-8") as fh:
+            fh.write('{"id": 1, "event": "job", "data": {"key": "k1"')  # torn
 
         with BackgroundServer(workers=0, cache_dir=cache_dir) as server:
             client = Client(server.url)
             assert client.wait("exp-000001")["status"] == "done"
             assert server.bench.simulations_run == 2  # damaged settle recomputed
-            assert server.store.quarantine_path.exists()
+            assert spill.with_name(spill.name + ".corrupt").exists()
             assert client.stats()["durability"]["store"]["quarantined"] == 1
 
     def test_sse_last_event_id_replays_across_restart(self, tmp_path):
@@ -1165,6 +1184,130 @@ class TestRecovery:
                 client.submit(spec)  # restart is not a free refill
             assert excinfo.value.code == "quota_exhausted"
             assert excinfo.value.detail["available"] == 1.0
+
+    def test_store_schema_1_boots_from_its_event_log(self, tmp_path):
+        # A repro.service_store/1 journal also held a settle line per job
+        # and a terminal line, and its done event carried the sweep
+        # manifest summary.  Both facts live in the event log, so those
+        # journal lines quarantine as unknown entry types and the
+        # experiment comes back as it finished.
+        from repro.service import default_store_dir
+
+        cache_dir = tmp_path / "cache"
+        chaos.install(_MCF_FAILS)
+        try:
+            with BackgroundServer(workers=0, cache_dir=cache_dir) as first:
+                client = Client(first.url)
+                exp_id = client.submit(_two_jobs_one_failing())["id"]
+                status = client.wait(exp_id)
+                totals = client.result(exp_id)["totals"]
+        finally:
+            chaos.uninstall()
+        assert status["jobs"]["failed"] == 1
+
+        store = default_store_dir(cache_dir)
+        journal = store / "journal.jsonl"
+        log = store / "events" / f"{exp_id}.jsonl"
+        [submit] = [json.loads(line) for line in journal.read_text().splitlines()]
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        events[-1]["data"]["manifest"] = {"jobs": 2, "completed": 1, "failed": 1, "resumed": 0}
+        lines = [{**submit, "schema": "repro.service_store/1"}]
+        for event in events:
+            if event["event"] == "job":
+                data = event["data"]
+                lines.append({
+                    "type": "settle", "id": exp_id, "key": data["key"],
+                    "ok": data["status"] == "ok", "source": data["source"],
+                    **({"failure": data["failure"]} if "failure" in data else {}),
+                })
+        lines.append({
+            "type": "terminal", "id": exp_id, "status": "done",
+            "finished": status["created"] + status["elapsed_seconds"],
+        })
+        journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        log.write_text("".join(json.dumps(event) + "\n" for event in events))
+
+        with BackgroundServer(workers=0, cache_dir=cache_dir) as second:
+            client = Client(second.url)
+            assert client.status(exp_id) == status
+            assert list(client.events(exp_id)) == events
+            assert client.result(exp_id)["totals"] == totals
+            assert second.bench.simulations_run == 0
+            assert client.stats()["durability"]["store"]["quarantined"] == 3
+
+
+_MCF_FAILS = chaos.ChaosConfig(
+    rules=(chaos.FaultRule(mode="error", match={"kernel": "mcf"}),)
+)
+
+
+def _two_jobs_one_failing():
+    """gzip and mcf on one machine; with ``_MCF_FAILS`` installed mcf fails."""
+    return make_spec(
+        name="two-jobs",
+        kernels=("gzip", "mcf"),
+        clusters=(2,),
+        instructions=300,
+        execution={"max_retries": 0},
+    )
+
+
+class TestCrashAtEveryAppend:
+    def test_every_append_prefix_recovers_one_job_event_per_key(
+        self, tmp_path, monkeypatch
+    ):
+        # Record every journal append of one finished experiment, then
+        # boot a fresh cache dir on each prefix of them (the run cache
+        # keeps the finished run's results, as it would after a kill -9
+        # right after the prefix's last append).
+        import shutil
+
+        from repro.experiments import journal
+
+        run_dir = tmp_path / "run"
+        appends = []
+        append = journal._append
+
+        def recording(path, data):
+            appends.append((path.relative_to(run_dir), data))
+            append(path, data)
+
+        chaos.install(_MCF_FAILS)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(journal, "_append", recording)
+                with BackgroundServer(workers=0, cache_dir=run_dir) as server:
+                    client = Client(server.url)
+                    exp_id = client.submit(_two_jobs_one_failing())["id"]
+                    assert client.wait(exp_id)["jobs"]["failed"] == 1
+            # submit; status queued, status running, two jobs, done
+            assert len(appends) == 6
+
+            for k in range(len(appends) + 1):
+                cache_dir = tmp_path / f"prefix-{k}"
+                shutil.copytree(
+                    run_dir, cache_dir, ignore=shutil.ignore_patterns("service")
+                )
+                for relative, data in appends[:k]:
+                    path = cache_dir / relative
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    with open(path, "ab") as fh:
+                        fh.write(data)
+                with BackgroundServer(workers=0, cache_dir=cache_dir) as server:
+                    client = Client(server.url)
+                    if k == 0:  # the submission never reached the disk
+                        with pytest.raises(ServiceError):
+                            client.status(exp_id)
+                        continue
+                    client.wait(exp_id)
+                    events = list(client.events(exp_id))
+                names = [e["event"] for e in events]
+                keys = [e["data"]["key"] for e in events if e["event"] == "job"]
+                assert len(keys) == len(set(keys)) == 2, (k, names)
+                assert names.count("done") == 1 and names[-1] == "done", (k, names)
+                assert [e["id"] for e in events] == list(range(1, len(events) + 1))
+        finally:
+            chaos.uninstall()
 
 
 # ---------------------------------------------------------------------------
@@ -1491,7 +1634,7 @@ class TestEventBound:
             assert record.events_total >= 5  # status x2, 3 jobs, done
             assert len(record.events) <= 2  # memory stays bounded
             assert record.events_base == record.events_total - len(record.events)
-            assert server.store.event_count(sub["id"]) == record.events_total
+            assert len(server.store.load_events(sub["id"])) == record.events_total
 
             full = list(client.events(sub["id"]))
             assert [e["id"] for e in full] == list(range(1, record.events_total + 1))
@@ -1507,17 +1650,18 @@ class TestEventBound:
 # ---------------------------------------------------------------------------
 
 
-def _journal_settles(journal_path) -> set[str]:
-    if not journal_path.exists():
+def _journal_settles(events_path) -> set[str]:
+    """Keys with a ``job`` event in one experiment's spilled event log."""
+    if not events_path.exists():
         return set()
     keys = set()
-    for line in journal_path.read_text().splitlines():
+    for line in events_path.read_text().splitlines():
         try:
             entry = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(entry, dict) and entry.get("type") == "settle":
-            keys.add(entry["key"])
+        if isinstance(entry, dict) and entry.get("event") == "job":
+            keys.add(entry["data"]["key"])
     return keys
 
 
@@ -1553,7 +1697,6 @@ class TestSigkillRecovery:
         from repro.service import default_store_dir
 
         cache_dir = tmp_path / "cache"
-        journal = default_store_dir(cache_dir) / "journal.jsonl"
         spec = make_spec(
             name="killed",
             kernels=("gzip", "mcf", "gcc"),
@@ -1568,8 +1711,9 @@ class TestSigkillRecovery:
             client.wait_ready(timeout=30)
             sub = client.submit(spec)
             exp_id = sub["id"]
+            event_log = default_store_dir(cache_dir) / "events" / f"{exp_id}.jsonl"
             deadline = _time.monotonic() + 120
-            while len(_journal_settles(journal)) < 2:
+            while len(_journal_settles(event_log)) < 2:
                 assert _time.monotonic() < deadline, "sweep never reached 2 settles"
                 assert proc.poll() is None, "server died on its own"
                 _time.sleep(0.01)
@@ -1579,7 +1723,7 @@ class TestSigkillRecovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
-        settled = _journal_settles(journal)
+        settled = _journal_settles(event_log)
         assert settled and len(settled) < total + 1
 
         proc, url = self._spawn(cache_dir)
@@ -1596,6 +1740,11 @@ class TestSigkillRecovery:
             # only the residue simulates again
             assert stats["simulations_run"] <= total - len(settled)
             assert stats["durability"]["recovered"]["experiments"] == 1
+            events = list(client.events(exp_id))
+            names = [e["event"] for e in events]
+            keys = [e["data"]["key"] for e in events if e["event"] == "job"]
+            assert len(keys) == len(set(keys)) == total
+            assert names.count("done") == 1 and names[-1] == "done"
         finally:
             proc.terminate()
             try:
