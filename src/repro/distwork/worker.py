@@ -14,22 +14,22 @@ stops heartbeating and the task is re-queued for someone else.  The task
 message carries ``attempt`` -- attempts charged by earlier dead leases --
 and the in-process retry loop continues counting from there, so the
 retry budget and the deterministic chaos schedule (``REPRO_CHAOS``
-reaches this process through the environment like any pool worker) span
-lease boundaries exactly as they span pool respawns locally.
+reaches this process through the environment like any lane child) span
+lease boundaries exactly as they span child respawns locally.
 
-Two conditions interrupt a leased run the way the local pool would:
+Two conditions interrupt a leased run the way a local lane would:
 
 * ``policy.job_timeout`` -- when set, each attempt runs in a killable
-  one-process child pool (:class:`_TimeoutAttemptRunner`); an attempt
-  past its budget has its child killed and is charged a retryable
-  ``timeout`` failure, mirroring the pool's recycle-on-hang.  Without
-  this the background heartbeat would keep a hung job's lease alive
-  forever and stall the whole sweep.
+  child on a :class:`~repro.experiments.executor.Lane`, the local
+  executor's attempt runner; an attempt past its budget has its child
+  killed and is charged a retryable ``timeout`` failure.  Without this
+  the background heartbeat would keep a hung job's lease alive forever
+  and stall the whole sweep.
 * a **lost lease** -- a heartbeat answered ``lost`` (tcp) or a vanished
   active file (dir) means the task was stolen or settled elsewhere; the
   worker abandons the run (between attempts, or mid-attempt by killing
-  the child when a timeout runner is active) and leases fresh work
-  instead of finishing a job whose result would be dropped.
+  the lane's child when a timeout is set) and leases fresh work instead
+  of finishing a job whose result would be dropped.
 
 Both transports are symmetrical for the worker:
 
@@ -50,8 +50,6 @@ import pathlib
 import socket
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
 from repro.distwork.protocol import (
@@ -65,79 +63,12 @@ from repro.distwork.protocol import (
     send_frame,
 )
 from repro.experiments.cache import RunCache
-from repro.experiments.executor import kill_pool
+from repro.experiments.executor import Lane
 from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import ExecutionInterrupted, JobOutcome
 from repro.experiments.parallel import run_job_outcome
 
 __all__ = ["execute_leased_job", "main", "run_supervisor", "run_worker"]
-
-
-class _TimeoutAttemptRunner:
-    """Run attempts in a killable child so ``policy.job_timeout`` binds.
-
-    The local pool enforces ``job_timeout`` by recycling hung workers;
-    in-process execution cannot interrupt a running simulation, so when
-    the policy sets a timeout each attempt runs through a one-process
-    pool whose child is killed (and respawned for the next attempt) once
-    the deadline passes -- the attempt is then charged a retryable
-    ``timeout`` failure exactly like a pool recycle.  Chaos reaches the
-    child through ``REPRO_CHAOS`` in the environment the same way it
-    reaches local pool workers, so fault schedules replay unchanged.
-
-    ``should_abandon`` (the lease-lost signal) is polled while waiting;
-    when it turns true the child is killed and
-    :class:`~repro.experiments.outcomes.ExecutionInterrupted` aborts the
-    whole task.
-    """
-
-    def __init__(
-        self,
-        timeout: float,
-        should_abandon: "Callable[[], bool] | None" = None,
-    ):
-        self.timeout = timeout
-        self.should_abandon = should_abandon
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __call__(self, job: Any, attempt: int) -> Any:
-        from repro.experiments.parallel import _pool_attempt
-
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=1)
-        future = self._pool.submit(_pool_attempt, (job, attempt, False))
-        deadline = time.monotonic() + self.timeout
-        while True:
-            if self.should_abandon is not None and self.should_abandon():
-                self._kill()
-                raise ExecutionInterrupted("lease lost mid-attempt")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._kill()
-                raise TimeoutError(
-                    f"job exceeded {self.timeout}s wall-time budget"
-                )
-            try:
-                result, _spans = future.result(timeout=min(remaining, 0.25))
-            except BrokenProcessPool:
-                self._kill()
-                raise
-            except TimeoutError:
-                if future.done():
-                    raise  # the attempt itself raised a TimeoutError
-                continue  # still waiting: re-check deadline and abandon
-            return result
-
-    def _kill(self) -> None:
-        """Kill the (possibly hung) child; a polite shutdown would block."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            kill_pool(pool)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def execute_leased_job(
@@ -156,9 +87,9 @@ def execute_leased_job(
     is not.
 
     When the policy sets ``job_timeout`` every attempt runs in a
-    killable child (:class:`_TimeoutAttemptRunner`).  ``should_abandon``
-    is polled between attempts -- and during them when the timeout
-    runner is active -- and raises
+    killable child on a :class:`~repro.experiments.executor.Lane`.
+    ``should_abandon`` is polled between attempts -- and during them when
+    a lane runs them -- and raises
     :class:`~repro.experiments.outcomes.ExecutionInterrupted` so the
     caller can drop a task whose lease was lost and request new work.
     """
@@ -169,20 +100,22 @@ def execute_leased_job(
         if result is not None:
             outcome = JobOutcome(job=job, result=result, attempts=0, source="cache")
             return outcome_to_dict(outcome)
-    runner: _TimeoutAttemptRunner | None = None
+    lane: Lane | None = None
     if policy.job_timeout is not None:
-        runner = _TimeoutAttemptRunner(policy.job_timeout, should_abandon)
+        lane = Lane(
+            policy.job_timeout, should_abandon, max_respawns=policy.max_pool_respawns
+        )
     try:
         outcome = run_job_outcome(
             job,
             policy=policy,
             start_attempt=int(task.get("attempt", 0)),
-            attempt_runner=runner,
+            attempt_runner=lane,
             should_stop=should_abandon,
         )
     finally:
-        if runner is not None:
-            runner.close()
+        if lane is not None:
+            lane.kill()
     if cache is not None and outcome.ok:
         cache.store(job, outcome.result)
     return outcome_to_dict(outcome)

@@ -18,11 +18,11 @@ nondeterminism, and it is observable only in ``OutcomeStats`` (a job
 another worker already cached settles as ``source="cache"`` and does not
 count as executed here).
 
-Stats caveats vs the local pool: ``retries`` is reconstructed as
-``attempts - 1`` per settled job (the worker's in-process retry loop is
-remote, so per-retry events are not streamed), and ``pool_respawns``
-counts nothing -- there is no pool; dead leases surface as ``crash``
-retries instead.
+Stats: each settled outcome counts through
+:func:`~repro.experiments.outcomes.settle_stats`, the rule the local
+executor uses too (``retries`` is ``attempts - 1`` per job).
+``pool_respawns`` and ``timeouts`` count nothing here: the workers'
+lanes are remote, and dead leases surface as ``crash`` retries instead.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.experiments.outcomes import (
     JobOutcome,
     OutcomeStats,
     RunFailureError,
+    settle_stats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -220,15 +221,7 @@ class DistributedExecutor:
             elapsed=wire.elapsed,
             source=wire.source,
         )
-        if stats is not None:
-            if outcome.ok:
-                if outcome.source != "cache":
-                    stats.executed += 1
-                stats.retries += max(outcome.attempts - 1, 0)
-            else:
-                assert outcome.failure is not None
-                stats.retries += max(outcome.attempts - 1, 0)
-                stats.record_failure(outcome.failure)
+        settle_stats(stats, outcome)
         return outcome
 
     def close(self) -> None:

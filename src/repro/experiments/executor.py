@@ -21,11 +21,12 @@ boundaries and raises
 Backends:
 
 * :class:`LocalPoolExecutor` -- this module.  In-process serial
-  execution, or per-job futures on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with retries,
-  per-attempt wall-time budgets, pool respawn and serial degradation;
-  ``sim="batched"`` jobs stay in-process on the trace memo
-  (:mod:`repro.experiments.batch`) unless only the pool can honour the
+  execution, or jobs fanned out over :class:`Lane`\\ s: threads that each
+  drive one killable child process through the same retry loop
+  (:func:`~repro.experiments.parallel.run_job_outcome`), with
+  per-attempt wall-time budgets, child respawn and per-lane serial
+  degradation; ``sim="batched"`` jobs stay in-process on the trace memo
+  (:mod:`repro.experiments.batch`) unless only a lane can honour the
   policy.
 * :class:`~repro.experiments.distributed.DistributedExecutor` -- a
   coordinator sharding jobs to ``repro worker`` processes over sockets
@@ -37,9 +38,11 @@ name through ``execution.executor`` and the CLI through ``--executor``.
 
 from __future__ import annotations
 
+import queue
+import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
 
@@ -50,7 +53,7 @@ from repro.experiments.outcomes import (
     JobOutcome,
     OutcomeStats,
     RunFailureError,
-    classify_failure,
+    settle_stats,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +66,7 @@ __all__ = [
     "CircuitBreaker",
     "EXECUTOR_NAMES",
     "Executor",
+    "Lane",
     "LocalPoolExecutor",
     "executor_names",
     "kill_pool",
@@ -146,19 +150,19 @@ class Executor(Protocol):
 
 
 class LocalPoolExecutor:
-    """Serial or process-pool execution with retries and timeouts.
+    """Serial in-process execution, or jobs fanned out over lanes.
 
     ``workers <= 1`` runs every job in-process, one after another,
     sharing this process's trace memo (:mod:`repro.experiments.batch`).
-    With more workers, ``sim="batched"`` jobs still run here: they share
-    the memo, and shipping their results back from a pool costs more
-    than computing them.  The other jobs fan out as per-job futures over
-    a :class:`~concurrent.futures.ProcessPoolExecutor` via the resilient
-    scheduler (:class:`_PoolScheduler`); a lone one runs in-process.
-    Under a ``job_timeout`` every job goes to the pool, lone ones too,
-    because only the pool can kill a hung attempt; under fault injection
-    batched jobs go there as well, where the chaos suite exercises pool
-    recovery.
+    With more workers, ``sim="batched"`` jobs still run here first: they
+    share the memo, and shipping their results back from a child costs
+    more than computing them.  The other jobs go to ``min(workers,
+    jobs)`` :class:`Lane`\\ s, each a thread that takes jobs in
+    submission order and runs their attempts in its own killable child;
+    a lone one runs in-process.  Under a ``job_timeout`` every job goes
+    to a lane, lone ones too, because only a child can be killed
+    mid-attempt; under fault injection batched jobs go there as well,
+    where the chaos suite exercises lane recovery.
     """
 
     name = "local"
@@ -167,7 +171,7 @@ class LocalPoolExecutor:
         self.workers = workers
 
     def close(self) -> None:
-        """No long-lived resources: pools live for one execute() call."""
+        """No long-lived resources: lanes live for one execute() call."""
 
     # ------------------------------------------------------------------
     def execute(
@@ -180,64 +184,50 @@ class LocalPoolExecutor:
         stats: OutcomeStats | None = None,
         should_stop: "Callable[[], bool] | None" = None,
     ) -> list[JobOutcome]:
-        from repro.experiments.parallel import chaos_active
+        from repro.experiments.parallel import chaos_active, run_job_outcome
 
         policy = policy if policy is not None else ExecutionPolicy()
         jobs = list(jobs)
         batched_here = policy.job_timeout is None and not chaos_active()
         here: list[int] = []
-        pooled: list[int] = []
+        laned: list[int] = []
         for index, job in enumerate(jobs):
-            (here if batched_here and job.sim == "batched" else pooled).append(index)
-        if self.workers <= 1 or (len(pooled) <= 1 and policy.job_timeout is None):
-            return _run_serial(jobs, tracer, policy, on_outcome, stats, should_stop)
+            (here if batched_here and job.sim == "batched" else laned).append(index)
+        if self.workers <= 1 or (len(laned) <= 1 and policy.job_timeout is None):
+            here, laned = list(range(len(jobs))), []
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
-        settled = _run_serial(
-            [jobs[i] for i in here], tracer, policy, on_outcome, stats, should_stop
-        )
-        for index, outcome in zip(here, settled):
+
+        def settle(index: int, outcome: JobOutcome) -> None:
             outcomes[index] = outcome
-        scheduler = _PoolScheduler(
-            [jobs[i] for i in pooled],
-            min(self.workers, len(pooled)),
-            tracer,
-            policy,
-            on_outcome,
-            stats,
-            should_stop=should_stop,
-        )
-        for index, outcome in zip(pooled, scheduler.run()):
-            outcomes[index] = outcome
+            settle_stats(stats, outcome)
+            if on_outcome is not None:
+                on_outcome(outcome)
+            if not outcome.ok and policy.fail_fast:
+                assert outcome.failure is not None
+                raise RunFailureError(outcome.job, outcome.failure)
+
+        for done, index in enumerate(here):
+            _check_stop(should_stop, len(jobs) - done)
+            settle(index, run_job_outcome(jobs[index], tracer=tracer, policy=policy))
+        if laned:
+            _run_lanes(
+                [(index, jobs[index]) for index in laned],
+                min(self.workers, len(laned)),
+                tracer,
+                policy,
+                stats,
+                should_stop,
+                settle,
+            )
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
 
-def _run_serial(
-    jobs: "list[RunJob]",
-    tracer: "Tracer | None",
-    policy: ExecutionPolicy,
-    on_outcome: "Callable[[JobOutcome], None] | None",
-    stats: OutcomeStats | None,
-    should_stop: "Callable[[], bool] | None",
-) -> list[JobOutcome]:
-    """Run ``jobs`` in-process, one after another, each with retries."""
-    from repro.experiments.parallel import run_job_outcome
-
-    outcomes: list[JobOutcome] = []
-    for job in jobs:
-        if should_stop is not None and should_stop():
-            raise ExecutionInterrupted(
-                f"execution stopped with {len(jobs) - len(outcomes)} "
-                "job(s) not yet run"
-            )
-        outcome = run_job_outcome(job, tracer=tracer, policy=policy, stats=stats)
-        outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if not outcome.ok and policy.fail_fast:
-            assert outcome.failure is not None
-            raise RunFailureError(job, outcome.failure)
-    return outcomes
+def _check_stop(should_stop: "Callable[[], bool] | None", unsettled: int) -> None:
+    if should_stop is not None and should_stop():
+        raise ExecutionInterrupted(
+            f"execution stopped with {unsettled} job(s) unsettled"
+        )
 
 
 class CircuitBreaker:
@@ -478,307 +468,176 @@ def kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-class _JobState:
-    """Mutable per-job bookkeeping inside the pool scheduler."""
+# Seconds a lane waits on its child between deadline and abandon checks.
+_LANE_SLICE = 0.25
 
-    __slots__ = ("job", "index", "attempts", "eligible_at", "first_start")
-
-    def __init__(self, job: "RunJob", index: int):
-        self.job = job
-        self.index = index
-        self.attempts = 0
-        self.eligible_at = 0.0
-        self.first_start: float | None = None
+# Lane children are forked under this one lock.  A ProcessPoolExecutor
+# forks its child inside submit(), so two lanes can fork at once, and a
+# child forked while a sibling lane's fork is under way inherits the
+# write end of that sibling child's death-notice pipe: the sibling's pool
+# then never sees its child die, and its lane waits forever.
+_FORK_LOCK = threading.Lock()
 
 
-class _PoolScheduler:
-    """Per-job futures with timeouts, retries and pool recovery.
+class Lane:
+    """One killable child process that runs a job's attempts.
 
-    The scheduler submits at most ``pool_size`` jobs at a time, so a
-    job's wall-time budget starts ticking when it actually starts
-    running.  A hung or overdue worker cannot be cancelled politely, so
-    a timeout (like a ``BrokenProcessPool``) kills and respawns the
-    pool; in-flight jobs that were *not* at fault are re-enqueued with
-    no attempt charged.  After ``max_pool_respawns`` consecutive pool
-    deaths with zero completed jobs in between, the remaining jobs run
-    serially in-process rather than thrashing a dying pool.
+    A lane is an ``attempt_runner`` for
+    :func:`~repro.experiments.parallel.run_job_outcome`, which keeps the
+    retry loop, failure classification and backoff.  Each call submits
+    one attempt (:func:`~repro.experiments.parallel._pool_attempt`) to a
+    one-process :class:`~concurrent.futures.ProcessPoolExecutor` and
+    waits for it in 0.25 s slices:
+
+    * past ``timeout`` seconds it kills the child and raises
+      :class:`TimeoutError` (``timeout``, retryable);
+    * when the child dies it kills the pool and re-raises
+      ``BrokenProcessPool`` (``crash``, retryable);
+    * when ``should_abandon()`` turns true it kills the child and raises
+      :class:`~repro.experiments.outcomes.ExecutionInterrupted`.
+
+    The next attempt after a kill starts a fresh child.  After more than
+    ``max_respawns`` child deaths in a row with no successful attempt in
+    between, the lane runs its attempts in-process instead.  ``timeouts``
+    and ``respawns`` count deadline kills and child deaths.  With a
+    ``tracer`` the child's spans are merged tagged ``worker=True``, and
+    the lane records ``pool.recycle``, ``pool.respawn`` and
+    ``pool.degrade-serial`` events.  :meth:`kill` ends the current child.
     """
 
     def __init__(
         self,
-        jobs: "Sequence[RunJob]",
-        pool_size: int,
-        tracer: "Tracer | None",
-        policy: ExecutionPolicy,
-        on_outcome: "Callable[[JobOutcome], None] | None",
-        stats: OutcomeStats | None,
-        should_stop: "Callable[[], bool] | None" = None,
+        timeout: float | None = None,
+        should_abandon: "Callable[[], bool] | None" = None,
+        tracer: "Tracer | None" = None,
+        max_respawns: int = 3,
     ):
-        self.jobs = list(jobs)
-        self.pool_size = pool_size
+        self.timeout = timeout
+        self.should_abandon = should_abandon
         self.tracer = tracer
-        self.policy = policy
-        self.on_outcome = on_outcome
-        self.stats = stats
-        self.should_stop = should_stop
-        self.outcomes: list[JobOutcome | None] = [None] * len(self.jobs)
-        self.pending: deque[_JobState] = deque(
-            _JobState(job, i) for i, job in enumerate(self.jobs)
-        )
-        self.running: dict = {}  # future -> (state, deadline | None)
-        self.pool: ProcessPoolExecutor | None = None
-        self.respawns_without_progress = 0
-        self.completed_since_respawn = 0
-        self.degrade_serial = False
+        self.max_respawns = max_respawns
+        self.timeouts = 0
+        self.respawns = 0
+        self._deaths = 0  # in a row, with no successful attempt between
+        self._pool: ProcessPoolExecutor | None = None
 
-    # ------------------------------------------------------------------
-    def run(self) -> list[JobOutcome]:
+    def __call__(self, job: "RunJob", attempt: int) -> "SimulationResult":
+        from repro.experiments.parallel import _pool_attempt, _run_attempt
+
+        if self._deaths > self.max_respawns:
+            return _run_attempt(job, attempt, self.tracer)
         try:
-            while self.pending or self.running:
-                self._check_stop()
-                if self.degrade_serial and not self.running:
-                    self._drain_serial()
-                    break
-                self._ensure_pool()
-                self._submit_eligible()
-                self._wait_and_collect()
-        except BaseException:
-            # KeyboardInterrupt or a fail-fast failure: cancel pending
-            # futures and take the children down with the pool so no
-            # orphans linger.  Completed results were already delivered
-            # through on_outcome.
-            self._kill_pool()
-            raise
-        else:
-            if self.pool is not None:
-                self.pool.shutdown(wait=True)
-                self.pool = None
-        assert all(outcome is not None for outcome in self.outcomes)
-        return self.outcomes  # type: ignore[return-value]
-
-    def _check_stop(self) -> None:
-        if self.should_stop is not None and self.should_stop():
-            raise ExecutionInterrupted(
-                f"execution stopped with {len(self.pending)} pending and "
-                f"{len(self.running)} running job(s)"
-            )
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> None:
-        if self.pool is None and not self.degrade_serial:
-            self.pool = ProcessPoolExecutor(max_workers=self.pool_size)
-
-    def _submit_eligible(self) -> None:
-        from repro.experiments.parallel import _pool_attempt
-
-        if self.pool is None:
-            return
-        now = time.monotonic()
-        held: list[_JobState] = []
-        try:
-            while self.pending and len(self.running) < self.pool_size:
-                state = self.pending.popleft()
-                if state.eligible_at > now:
-                    held.append(state)
-                    continue
-                state.attempts += 1
-                if state.first_start is None:
-                    state.first_start = now
-                deadline = (
-                    now + self.policy.job_timeout
-                    if self.policy.job_timeout is not None
-                    else None
+            with _FORK_LOCK:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(max_workers=1)
+                future = self._pool.submit(
+                    _pool_attempt, (job, attempt, self.tracer is not None)
                 )
-                payload = (state.job, state.attempts, self.tracer is not None)
-                try:
-                    future = self.pool.submit(_pool_attempt, payload)
-                except BrokenProcessPool:
-                    # The job never reached the pool: uncharge and requeue.
-                    state.attempts -= 1
-                    self.pending.appendleft(state)
-                    self._pool_broken()
+            deadline = None if self.timeout is None else time.monotonic() + self.timeout
+            while True:
+                left = _LANE_SLICE if deadline is None else deadline - time.monotonic()
+                if wait([future], timeout=max(0.0, min(left, _LANE_SLICE))).done:
                     break
-                self.running[future] = (state, deadline)
-        finally:
-            self.pending.extendleft(reversed(held))
-
-    def _wait_and_collect(self) -> None:
-        now = time.monotonic()
-        waits: list[float] = []
-        deadlines = [d for (_, d) in self.running.values() if d is not None]
-        if deadlines:
-            waits.append(min(deadlines) - now)
-        if self.pending and len(self.running) < self.pool_size:
-            # Capacity is free but every queued job is in backoff: wake
-            # when the earliest becomes eligible.
-            waits.append(min(s.eligible_at for s in self.pending) - now)
-        timeout = max(0.0, min(waits)) if waits else None
-        if not self.running:
-            if timeout:
-                time.sleep(timeout)
-            return
-        done, _ = wait(set(self.running), timeout=timeout, return_when=FIRST_COMPLETED)
-        # Harvest clean completions before any pool-death sweep: a pool
-        # break re-enqueues every job still tracked as in-flight, and a
-        # result that already arrived should not be thrown away with them.
-        for future in sorted(done, key=lambda f: f.exception() is not None):
-            self._collect(future)
-        self._check_deadlines()
-
-    # ------------------------------------------------------------------
-    def _collect(self, future) -> None:
-        from repro.experiments.parallel import _validate_result
-
-        entry = self.running.pop(future, None)
-        if entry is None:  # already handled by a pool-death sweep
-            return
-        state, _deadline = entry
-        try:
+                if self.should_abandon is not None and self.should_abandon():
+                    self.kill()
+                    raise ExecutionInterrupted(f"attempt {attempt} abandoned")
+                if deadline is not None and time.monotonic() >= deadline:
+                    self.kill()
+                    self.timeouts += 1
+                    if self.tracer is not None:
+                        self.tracer.event("pool.recycle", reason="timeout")
+                    raise TimeoutError(
+                        f"job exceeded {self.timeout}s wall-time budget"
+                    )
             result, spans = future.result()
-            _validate_result(state.job, result)
         except BrokenProcessPool:
-            self.running[future] = entry  # count it among the lost
-            self._pool_broken()
-            return
-        except Exception as exc:
-            self._attempt_failed(state, exc)
-            return
+            self.kill()
+            self.respawns += 1
+            self._deaths += 1
+            if self.tracer is not None:
+                self.tracer.event("pool.respawn", lost=1)
+                if self._deaths > self.max_respawns:
+                    self.tracer.event("pool.degrade-serial")
+            raise
+        self._deaths = 0
         if spans and self.tracer is not None:
             self.tracer.merge(spans, worker=True)
-        self._success(state, result)
+        return result
 
-    def _success(self, state: _JobState, result: "SimulationResult") -> None:
-        if self.stats is not None:
-            self.stats.executed += 1
-        self.completed_since_respawn += 1
-        self.respawns_without_progress = 0
-        self._finish(
-            state,
-            JobOutcome(
-                job=state.job,
-                result=result,
-                attempts=state.attempts,
-                elapsed=self._elapsed(state),
-            ),
-        )
-
-    def _attempt_failed(self, state: _JobState, exc: BaseException) -> None:
-        failure = classify_failure(exc, state.attempts, self._elapsed(state))
-        if failure.retryable and state.attempts <= self.policy.max_retries:
-            if self.stats is not None:
-                self.stats.retries += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "job.retry",
-                    kernel=state.job.kernel,
-                    kind=failure.kind,
-                    attempt=state.attempts,
-                )
-            state.eligible_at = time.monotonic() + self.policy.backoff(state.attempts)
-            self.pending.append(state)
-            return
-        if self.stats is not None:
-            self.stats.record_failure(failure)
-        self._finish(
-            state,
-            JobOutcome(
-                job=state.job,
-                failure=failure,
-                attempts=state.attempts,
-                elapsed=self._elapsed(state),
-            ),
-        )
-
-    def _finish(self, state: _JobState, outcome: JobOutcome) -> None:
-        self.outcomes[state.index] = outcome
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
-        if not outcome.ok and self.policy.fail_fast:
-            assert outcome.failure is not None
-            raise RunFailureError(state.job, outcome.failure)
-
-    def _elapsed(self, state: _JobState) -> float:
-        if state.first_start is None:
-            return 0.0
-        return time.monotonic() - state.first_start
-
-    # ------------------------------------------------------------------
-    def _pool_broken(self) -> None:
-        """A worker died abruptly: respawn and re-enqueue the lost jobs.
-
-        Which in-flight job killed the worker is unknowable from the
-        parent, so every lost job is charged one ``crash`` attempt --
-        the retry budget bounds a job that reliably kills its worker
-        while letting innocent bystanders re-run.
-        """
-        lost = [state for (state, _d) in self.running.values()]
-        self.running.clear()
-        self._kill_pool()
-        if self.stats is not None:
-            self.stats.pool_respawns += 1
-        if self.tracer is not None:
-            self.tracer.event("pool.respawn", lost=len(lost))
-        if self.completed_since_respawn == 0:
-            self.respawns_without_progress += 1
-        else:
-            self.respawns_without_progress = 0
-        self.completed_since_respawn = 0
-        if self.respawns_without_progress > self.policy.max_pool_respawns:
-            self.degrade_serial = True
-            if self.tracer is not None:
-                self.tracer.event("pool.degrade-serial")
-        for state in lost:
-            self._attempt_failed(state, BrokenProcessPool("worker process died"))
-
-    def _check_deadlines(self) -> None:
-        if self.policy.job_timeout is None or not self.running:
-            return
-        now = time.monotonic()
-        overdue = [
-            (future, state)
-            for future, (state, deadline) in self.running.items()
-            if deadline is not None and deadline <= now and not future.done()
-        ]
-        if not overdue:
-            return
-        # The overdue workers are hung; the only way out is to recycle
-        # the pool.  Innocent in-flight jobs are re-enqueued uncharged.
-        if self.stats is not None:
-            self.stats.timeouts += len(overdue)
-        for future, state in overdue:
-            del self.running[future]
-            self._attempt_failed(
-                state,
-                TimeoutError(
-                    f"job exceeded {self.policy.job_timeout}s wall-time budget"
-                ),
-            )
-        for future, (state, _deadline) in list(self.running.items()):
-            state.attempts -= 1  # not this job's fault: uncharge the attempt
-            self.pending.append(state)
-        self.running.clear()
-        self._kill_pool()
-        if self.tracer is not None:
-            self.tracer.event("pool.recycle", reason="timeout")
-
-    def _kill_pool(self) -> None:
-        pool, self.pool = self.pool, None
+    def kill(self) -> None:
+        """Kill the child, if any; the next attempt starts a fresh one."""
+        pool, self._pool = self._pool, None
         if pool is not None:
             kill_pool(pool)
 
-    # ------------------------------------------------------------------
-    def _drain_serial(self) -> None:
-        """Degraded mode: finish the remaining jobs in-process."""
-        from repro.experiments.parallel import run_job_outcome
 
-        while self.pending:
-            self._check_stop()
-            state = self.pending.popleft()
-            outcome = run_job_outcome(
-                state.job,
-                tracer=self.tracer,
-                policy=self.policy,
-                stats=self.stats,
-                start_attempt=state.attempts,
-            )
-            self._finish(state, outcome)
+def _run_lanes(
+    jobs: "list[tuple[int, RunJob]]",
+    count: int,
+    tracer: "Tracer | None",
+    policy: ExecutionPolicy,
+    stats: OutcomeStats | None,
+    should_stop: "Callable[[], bool] | None",
+    settle: "Callable[[int, JobOutcome], None]",
+) -> None:
+    """Run ``(index, job)`` pairs on ``count`` lanes; settle on this thread.
+
+    Lane threads take jobs in submission order and hand each outcome (or
+    an exception that escaped the retry loop) back through a queue, so
+    ``settle`` and ``should_stop`` only ever run on the calling thread.
+    Every exit path stops the lanes, joins their threads, kills their
+    children and adds their timeout and respawn counts to ``stats``.
+    """
+    from repro.experiments.parallel import run_job_outcome
+
+    pending = deque(jobs)
+    settled: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+    lanes = [
+        Lane(policy.job_timeout, stop.is_set, tracer, policy.max_pool_respawns)
+        for _ in range(count)
+    ]
+
+    def drive(lane: Lane) -> None:
+        try:
+            while not stop.is_set():
+                try:
+                    index, job = pending.popleft()
+                except IndexError:
+                    return
+                outcome = run_job_outcome(
+                    job,
+                    tracer=tracer,
+                    policy=policy,
+                    attempt_runner=lane,
+                    should_stop=stop.is_set,
+                )
+                settled.put((index, outcome))
+        except BaseException as exc:  # re-raised on the calling thread
+            settled.put((None, exc))
+
+    threads = [
+        threading.Thread(target=drive, args=(lane,), name=f"repro-lane-{n}", daemon=True)
+        for n, lane in enumerate(lanes)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for unsettled in range(len(jobs), 0, -1):
+            _check_stop(should_stop, unsettled)
+            index, outcome = settled.get()
+            if index is None:
+                raise outcome
+            settle(index, outcome)
+    finally:
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        # After the joins: a lane whose last attempt finished just as the
+        # stop came still has its (idle) child.
+        for lane in lanes:
+            lane.kill()
+            if stats is not None:
+                stats.timeouts += lane.timeouts
+                stats.pool_respawns += lane.respawns

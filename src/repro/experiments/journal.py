@@ -5,9 +5,10 @@ spill files are all :class:`Journal`\\ s: one JSON object per line.
 
 * :meth:`Journal.append` hands whole lines to the OS in one ``write`` on
   an ``O_APPEND`` descriptor before it returns, so they survive SIGKILL
-  of the process (no ``fsync``: power loss is out of scope), and
-  concurrent writers never split each other's lines.  A torn tail left
-  by a killed writer is sealed with a newline first.
+  of the process (no ``fsync``: power loss is out of scope).  Writers
+  take an exclusive ``flock`` on the file for the append, so concurrent
+  writers never split or pad each other's lines.  A torn tail left by a
+  killed writer is sealed with a newline first.
 * :meth:`Journal.read` returns every JSON-object line in order, copying a
   torn or unparseable line to ``<file>.corrupt`` and counting it.
 * :meth:`Journal.rewrite` replaces the file through :func:`atomic_write`:
@@ -17,6 +18,7 @@ spill files are all :class:`Journal`\\ s: one JSON object per line.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import pathlib
@@ -52,6 +54,10 @@ def _lines(entries: Iterable[dict[str, Any]]) -> str:
 def _append(path: pathlib.Path, data: bytes) -> None:
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        # Without the lock another writer's write() can be partway done
+        # when the last byte is read, and a tail that is not torn gets
+        # sealed with a stray blank line.  Closing the file releases it.
+        fcntl.flock(fd, fcntl.LOCK_EX)
         size = os.fstat(fd).st_size
         if size:
             os.lseek(fd, size - 1, os.SEEK_SET)  # appends still go to the end
@@ -63,7 +69,7 @@ def _append(path: pathlib.Path, data: bytes) -> None:
 
 
 class Journal:
-    """One JSON-lines file; holds no open file and no lock."""
+    """One JSON-lines file; holds no open file or lock between calls."""
 
     def __init__(self, path: pathlib.Path | str):
         self.path = pathlib.Path(path)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import pathlib
 import threading
 import warnings
+from collections import Counter
 from typing import TYPE_CHECKING, Any
 
 from repro.experiments.journal import Journal
@@ -57,6 +58,10 @@ class SweepManifest:
         self.spec_hash = spec_hash
         self.name = name
         self.entries: dict[str, dict[str, Any]] = {}
+        # Entries per status, so completed()/failed() hold the lock for
+        # O(1): scanning every entry under it lets a thread polling
+        # summary() starve one calling record().
+        self._statuses: Counter[str] = Counter()
         # Jobs recorded "ok" by a *previous* invocation: the resume set.
         self.resumed: frozenset[str] = frozenset()
         self._journal = Journal(self.path)
@@ -84,7 +89,7 @@ class SweepManifest:
             if not (ours and isinstance(key, str)):
                 self._journal.quarantine(line)
                 continue
-            self.entries[key] = {k: v for k, v in line.items() if k not in _HEADER}
+            self._set(key, {k: v for k, v in line.items() if k not in _HEADER})
         if self._journal.quarantined:
             warnings.warn(
                 f"quarantined {self._journal.quarantined} damaged line(s) of "
@@ -112,16 +117,23 @@ class SweepManifest:
             entry["failure"] = outcome.failure.to_dict()
         line = {"schema": MANIFEST_SCHEMA, "spec_hash": self.spec_hash, "key": key, **entry}
         with self._lock:
-            self.entries[key] = entry
+            self._set(key, entry)
             self._unsaved.append(line)
+
+    def _set(self, key: str, entry: dict[str, Any]) -> None:
+        old = self.entries.get(key)
+        if old is not None:
+            self._statuses[old.get("status")] -= 1
+        self.entries[key] = entry
+        self._statuses[entry.get("status")] += 1
 
     def completed(self) -> int:
         with self._lock:
-            return sum(e.get("status") == "ok" for e in self.entries.values())
+            return self._statuses["ok"]
 
     def failed(self) -> int:
         with self._lock:
-            return sum(e.get("status") == "failed" for e in self.entries.values())
+            return self._statuses["failed"]
 
     def summary(self) -> dict[str, int]:
         with self._lock:

@@ -50,6 +50,7 @@ __all__ = [
     "RunFailure",
     "RunFailureError",
     "classify_failure",
+    "settle_stats",
     "traceback_digest",
 ]
 
@@ -66,15 +67,17 @@ class ExecutionPolicy:
 
     ``max_retries`` bounds *re*-attempts: a job runs at most
     ``max_retries + 1`` times.  ``job_timeout`` is wall-clock seconds per
-    attempt, enforced in pool mode by recycling the worker pool (a hung
-    worker cannot be cancelled politely); serial in-process execution
-    cannot interrupt a running simulation, so timeouts are only checked
-    between attempts there.  ``backoff_base * backoff_factor**(attempt-1)``
-    seconds separate retries (0 disables waiting -- the default keeps
-    sweeps fast; raise it when retrying flaky shared infrastructure).
-    After ``max_pool_respawns`` consecutive pool deaths with zero
-    completed jobs in between, the executor degrades to in-process serial
-    execution rather than thrashing.
+    attempt, enforced where attempts run in a killable child process (a
+    :class:`~repro.experiments.executor.Lane`): the local executor with
+    ``workers > 1`` and the distributed worker.  With ``workers <= 1``
+    every attempt runs in-process, which nothing can interrupt, so
+    ``job_timeout`` is not enforced there.
+    ``backoff_base * backoff_factor**(attempt-1)`` seconds separate
+    retries (0 disables waiting -- the default keeps sweeps fast; raise it
+    when retrying flaky shared infrastructure).  After more than
+    ``max_pool_respawns`` consecutive child deaths on one lane with no
+    successful attempt in between, that lane runs its attempts in-process
+    rather than thrashing.
     """
 
     max_retries: int = 2
@@ -293,3 +296,14 @@ class OutcomeStats:
             "timeouts": self.timeouts,
             "by_kind": dict(self.by_kind),
         }
+
+
+def settle_stats(stats: OutcomeStats | None, outcome: JobOutcome) -> None:
+    """Count one settled job: its retries, then its run or its failure."""
+    if stats is None:
+        return
+    stats.retries += max(outcome.attempts - 1, 0)
+    if outcome.failure is not None:
+        stats.record_failure(outcome.failure)
+    elif outcome.source == "run":
+        stats.executed += 1

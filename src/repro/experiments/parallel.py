@@ -1,14 +1,14 @@
 """Parallel experiment execution: picklable run jobs and worker fan-out.
 
 Independent (kernel x machine-config x policy) simulations share nothing
-but their trace, so they fan out over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  A job is described by
-a small picklable :class:`RunJob` -- kernel *name* rather than spec, so
-each worker regenerates the trace deterministically from the seeded
-interpreter instead of shipping megabytes of trace over the pipe.
+but their trace, so they fan out over child processes (the local
+executor's lanes).  A job is described by a small picklable
+:class:`RunJob` -- kernel *name* rather than spec, so each worker
+regenerates the trace deterministically from the seeded interpreter
+instead of shipping megabytes of trace over the pipe.
 
 Determinism contract: :func:`execute_job` is the *only* code path that
-runs a simulation -- serial and pooled execution, distributed workers
+runs a simulation -- serial and laned execution, distributed workers
 and :meth:`Workbench.outcome
 <repro.experiments.harness.Workbench.outcome>` all call it -- and every
 stochastic component it touches (workload data, LoC predictor) derives
@@ -22,12 +22,15 @@ produce bit-identical :class:`~repro.core.results.SimulationResult`\\ s
 number feeds only the fault-injection harness, never the simulation.
 
 Fault tolerance (:func:`execute_outcomes`, over
-:class:`~repro.experiments.executor.LocalPoolExecutor`): jobs run under
-an :class:`~repro.experiments.outcomes.ExecutionPolicy` -- per-attempt
-wall-time budgets, bounded retries with backoff, pool respawn, serial
-degradation and clean ``KeyboardInterrupt`` shutdown -- and every job
-yields a typed :class:`~repro.experiments.outcomes.JobOutcome`, so
-sweeps keep going past individual failures.  Fault injection
+:class:`~repro.experiments.executor.LocalPoolExecutor`): every job runs
+through one retry loop, :func:`run_job_outcome`, under an
+:class:`~repro.experiments.outcomes.ExecutionPolicy` -- bounded retries
+with backoff -- either in-process or on a
+:class:`~repro.experiments.executor.Lane`, whose killable child adds
+per-attempt wall-time budgets, child respawn, serial degradation and
+clean ``KeyboardInterrupt`` shutdown.  Every job yields a typed
+:class:`~repro.experiments.outcomes.JobOutcome`, so sweeps keep going
+past individual failures.  Fault injection
 (:mod:`repro.testing.chaos`) hooks in here: :func:`chaos_active` says
 whether it is on, and every attempt consults the schedule before it
 runs.
@@ -228,7 +231,7 @@ def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationRes
 # Fault injection plumbing (zero-cost unless activated)
 # ---------------------------------------------------------------------------
 
-# In-process hook installed by repro.testing.chaos.install(); pool workers
+# In-process hook installed by repro.testing.chaos.install(); lane children
 # are reached through the REPRO_CHAOS environment variable instead.
 _chaos_hook: "Callable[[RunJob, int], str | None] | None" = None
 
@@ -291,7 +294,7 @@ def _run_attempt(
 
 
 def _pool_attempt(payload: tuple) -> tuple[SimulationResult, list[tuple] | None]:
-    """Pool-worker entry: ``(job, attempt, traced)`` -> (result, spans)."""
+    """Lane-child entry: ``(job, attempt, traced)`` -> (result, spans)."""
     job, attempt, traced = payload
     if not traced:
         return _run_attempt(job, attempt), None
@@ -317,19 +320,19 @@ def run_job_outcome(
     attempt_runner: "Callable[[RunJob, int], SimulationResult] | None" = None,
     should_stop: "Callable[[], bool] | None" = None,
 ) -> JobOutcome:
-    """Run one job in-process with the policy's retry loop.
+    """Run one job with the policy's retry loop: the only attempt loop.
 
-    Serial in-process execution cannot interrupt a running simulation,
-    so ``job_timeout`` is not enforced here by default (the pool path
-    recycles workers instead).  A caller that *can* enforce it supplies
-    ``attempt_runner``, a ``(job, attempt) -> SimulationResult``
-    substitute for the in-process attempt -- the distributed worker uses
-    a killable child process when the policy sets a timeout.
-    ``should_stop`` is polled before each attempt and raises
+    Attempts run in-process unless ``attempt_runner``, a ``(job,
+    attempt) -> SimulationResult`` substitute, runs them elsewhere.  An
+    in-process simulation cannot be interrupted, so ``job_timeout`` binds
+    only through a runner that can kill an attempt: the
+    :class:`~repro.experiments.executor.Lane` that the local executor's
+    lanes and the distributed worker pass.  ``should_stop`` is polled
+    before each attempt and raises
     :class:`~repro.experiments.outcomes.ExecutionInterrupted` (an
     ``attempt_runner`` may raise it mid-attempt too; it is never
-    classified as a failure).  Everything else -- retry classification,
-    backoff, typed outcomes -- behaves exactly as in the pool.
+    classified as a failure).  Retry classification, backoff and typed
+    outcomes are the same wherever the attempts run.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     start = time.monotonic()
@@ -396,7 +399,7 @@ def execute_outcomes(
     ``should_stop`` / ``policy.fail_fast`` interrupt as the
     :class:`~repro.experiments.executor.Executor` protocol describes.
     Successful results are bit-identical to serial, fault-free execution
-    regardless of retries, worker count or pool respawns.
+    regardless of retries, worker count or child respawns.
     """
     from repro.experiments.executor import LocalPoolExecutor
 

@@ -1,14 +1,17 @@
 """The :class:`~repro.experiments.executor.Executor` protocol layer.
 
 The refactor contract: execution backends are interchangeable behind one
-protocol, ``LocalPoolExecutor`` is the old pool logic bit-for-bit, and
-the registry (:func:`make_executor`) validates names and endpoints up
-front.
+protocol, ``LocalPoolExecutor`` gives bit-identical results in-process or
+on one-child lanes, and the registry (:func:`make_executor`) validates
+names and endpoints up front.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -26,11 +29,17 @@ from repro.experiments.executor import (
 )
 from repro.experiments.fig14 import plan_figure14
 from repro.experiments.harness import Workbench
-from repro.experiments.outcomes import ExecutionPolicy, OutcomeStats
+from repro.experiments.outcomes import (
+    ExecutionInterrupted,
+    ExecutionPolicy,
+    OutcomeStats,
+    RunFailureError,
+)
 from repro.experiments.parallel import execute_job
 from repro.experiments.sweep import run_spec
 from repro.specs import ExperimentSpec, MachineSpec, SpecError, SweepSpec, spec_hash
-from repro.testing.chaos import ChaosConfig
+from repro.telemetry.tracing import Tracer
+from repro.testing.chaos import ChaosConfig, FaultRule
 from repro.workloads.suite import get_kernel
 
 INSTRUCTIONS = 400
@@ -202,6 +211,144 @@ class TestWhereJobsRun:
         assert settled[: len(batched)] == batched
         for job, outcome in zip(jobs, outcomes):
             assert results_identical(outcome.unwrap(), execute_job(job))
+
+
+def set_chaos(monkeypatch, *rules, hang_seconds=30.0):
+    """Schedule ``rules`` inside lane children through ``REPRO_CHAOS``."""
+    config = ChaosConfig(rules=rules, hang_seconds=hang_seconds)
+    monkeypatch.setenv("REPRO_CHAOS", config.env_value())
+
+
+def readiness_jobs(bench, clusters=(2,)):
+    """Event-engine jobs (readiness steering is not batchable)."""
+    return [
+        bench.job(get_kernel(kernel), bench.clustered(n), "readiness")
+        for kernel in KERNELS
+        for n in clusters
+    ]
+
+
+class TestLanes:
+    """Pooled jobs run on one-child lanes; a child's fate is its job's."""
+
+    def test_a_job_is_not_charged_for_a_siblings_crash(self, monkeypatch):
+        set_chaos(
+            monkeypatch,
+            FaultRule(mode="crash", match={"kernel": "gcc"}, attempts=(1,)),
+            FaultRule(mode="hang", match={"kernel": "mcf"}, attempts=(1,)),
+            hang_seconds=2.0,
+        )
+        gcc, mcf = jobs = readiness_jobs(make_bench())
+        stats = OutcomeStats()
+        crashed, survived = LocalPoolExecutor(workers=2).execute(
+            jobs, policy=ExecutionPolicy(max_retries=0), stats=stats
+        )
+        assert (survived.job, survived.ok, survived.attempts) == (mcf, True, 1)
+        assert results_identical(survived.result, execute_job(mcf))
+        assert (crashed.job, crashed.ok, crashed.attempts) == (gcc, False, 1)
+        assert crashed.failure.kind == "crash"
+        assert stats.pool_respawns == 1
+
+    def test_a_lane_degrades_to_in_process_after_repeated_deaths(self, monkeypatch):
+        set_chaos(monkeypatch, FaultRule(mode="crash", match={"kernel": "gcc"}))
+        gcc, mcf = jobs = readiness_jobs(make_bench())
+        tracer = Tracer()
+        stats = OutcomeStats()
+        crashed, clean = LocalPoolExecutor(workers=2).execute(
+            jobs,
+            tracer=tracer,
+            policy=ExecutionPolicy(max_retries=4, max_pool_respawns=1),
+            stats=stats,
+        )
+        # Two child deaths, then gcc's lane runs attempts 3-5 in-process,
+        # where an injected crash raises instead of killing the host.
+        assert (crashed.job, crashed.ok, crashed.attempts) == (gcc, False, 5)
+        assert crashed.failure.kind == "injected"
+        assert (clean.job, clean.ok, clean.attempts) == (mcf, True, 1)
+        assert [span.name for span in tracer.spans].count("pool.degrade-serial") == 1
+        assert stats.retries == 4
+        assert stats.pool_respawns == 2
+
+    def test_more_lanes_than_cores_settle_each_job_once(self):
+        # Lane threads share one job queue and one outcome queue; switch
+        # threads as often as possible to shake out a lost or doubled job.
+        jobs = readiness_jobs(make_bench(), clusters=(2, 4, 8))
+        settled: list = []
+        stats = OutcomeStats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            outcomes = LocalPoolExecutor(workers=4).execute(
+                jobs, on_outcome=lambda outcome: settled.append(outcome.job), stats=stats
+            )
+            assert time.monotonic() - start < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert [outcome.job for outcome in outcomes] == jobs
+        assert sorted(settled, key=job_key) == sorted(jobs, key=job_key)
+        assert stats.executed == len(jobs)
+        for job, outcome in zip(jobs, outcomes):
+            assert results_identical(outcome.unwrap(), execute_job(job))
+
+    def test_lane_children_are_never_forked_at_the_same_time(self, monkeypatch):
+        from multiprocessing import popen_fork
+
+        launch = popen_fork.Popen._launch
+        lock = threading.Lock()
+        forks = SimpleNamespace(live=0, peak=0)
+
+        def slow_launch(self, process_obj):
+            with lock:
+                forks.live += 1
+                forks.peak = max(forks.peak, forks.live)
+            try:
+                time.sleep(0.05)  # widen the window two forks could share
+                return launch(self, process_obj)
+            finally:
+                with lock:
+                    forks.live -= 1
+
+        monkeypatch.setattr(popen_fork.Popen, "_launch", slow_launch)
+        # Every first attempt kills its child, so each lane forks again
+        # from its own thread while the others are forking too.
+        set_chaos(monkeypatch, FaultRule(mode="crash", attempts=(1,)))
+        jobs = readiness_jobs(make_bench(), clusters=(2, 4))
+        stats = OutcomeStats()
+        outcomes = LocalPoolExecutor(workers=len(jobs)).execute(jobs, stats=stats)
+        assert [(outcome.ok, outcome.attempts) for outcome in outcomes] == [(True, 2)] * 4
+        assert stats.pool_respawns == len(jobs)
+        assert forks.peak == 1
+
+    @pytest.mark.parametrize("stop_by", ["fail_fast", "should_stop"])
+    def test_lanes_still_running_are_torn_down(self, monkeypatch, stop_by):
+        set_chaos(
+            monkeypatch,
+            FaultRule(mode="error", match={"kernel": "gcc"}),
+            FaultRule(mode="hang", match={"kernel": "mcf"}),
+        )
+        jobs = readiness_jobs(make_bench())
+        before = set(multiprocessing.active_children())
+        settled: list = []
+        if stop_by == "fail_fast":
+            expected = RunFailureError
+            policy = ExecutionPolicy(max_retries=0, fail_fast=True)
+            should_stop = None
+        else:
+            expected = ExecutionInterrupted
+            policy = ExecutionPolicy(max_retries=0)
+            should_stop = lambda: bool(settled)  # noqa: E731
+        start = time.monotonic()
+        with pytest.raises(expected):
+            LocalPoolExecutor(workers=2).execute(
+                jobs, policy=policy, on_outcome=settled.append, should_stop=should_stop
+            )
+        assert time.monotonic() - start < 5.0  # nowhere near mcf's 30 s hang
+        assert [outcome.job.kernel for outcome in settled] == ["gcc"]
+        deadline = time.monotonic() + 2.0
+        while set(multiprocessing.active_children()) - before:
+            assert time.monotonic() < deadline, "a lane child outlived the sweep"
+            time.sleep(0.05)
 
 
 class TestSpecExecutorField:

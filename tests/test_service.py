@@ -735,6 +735,33 @@ class TestManifestConcurrency:
         assert len(lines) == 200
         assert all(json.loads(line)["schema"] == "repro.sweep_manifest/2" for line in lines)
 
+    def test_append_waits_for_an_exclusive_lock_on_the_file(self, tmp_path):
+        # An append reads the file's last byte to seal a torn tail; the
+        # lock keeps it from reading while another writer is mid-write.
+        import fcntl
+
+        from repro.experiments.journal import Journal
+
+        journal = Journal(tmp_path / "locked.jsonl")
+        journal.append({"n": 0})
+        appended = threading.Event()
+
+        def append() -> None:
+            journal.append({"n": 1})
+            appended.set()
+
+        with open(journal.path, "rb") as holder:
+            fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
+            thread = threading.Thread(target=append)
+            thread.start()
+            assert not appended.wait(0.3), "append did not wait for the lock"
+            fcntl.flock(holder.fileno(), fcntl.LOCK_UN)
+            assert appended.wait(5.0)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert journal.read() == [{"n": 0}, {"n": 1}]
+        assert journal.path.read_bytes().count(b"\n") == 2
+
 
 def _failed_outcome(n: int):
     failure = SimpleNamespace(to_dict=lambda: {"kind": "error", "attempts": 1})
@@ -752,6 +779,7 @@ class TestManifestFile:
         manifest.save()  # nothing new: no write
         manifest.record("k0", _failed_outcome(0))
         manifest.record("k1", _fake_outcome(1))
+        assert manifest.summary() == {"jobs": 2, "completed": 1, "failed": 1, "resumed": 0}
         manifest.save()
         assert manifest.path.stat().st_ino == inode  # appended, never replaced
         lines = [json.loads(line) for line in manifest.path.read_text().splitlines()]
