@@ -34,7 +34,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.harness import Workbench
 from repro.workloads import SUITE, get_kernel
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ClusteredSimulator",

@@ -265,8 +265,8 @@ def _serve_main(argv: list[str]) -> int:
         "--workers-endpoint",
         default=None,
         help=(
-            "where 'repro worker' processes rendezvous (host:port or a "
-            "shared spool directory; required with --executor distributed)"
+            "host:port where 'repro worker' processes rendezvous "
+            "(required with --executor distributed)"
         ),
     )
     parser.add_argument(
@@ -315,10 +315,18 @@ def _serve_main(argv: list[str]) -> int:
     if args.executor == "distributed" and not args.workers_endpoint:
         print(
             "repro serve: --executor distributed needs --workers-endpoint "
-            "(host:port or a shared spool directory)",
+            "host:port",
             file=sys.stderr,
         )
         return 2
+    if args.workers_endpoint is not None:
+        from repro.distwork.protocol import parse_endpoint
+
+        try:
+            parse_endpoint(args.workers_endpoint)
+        except ValueError as exc:
+            print(f"repro serve: {exc}", file=sys.stderr)
+            return 2
     from repro.experiments.harness import DEFAULT_INSTRUCTIONS
     from repro.service import serve
 

@@ -1,4 +1,4 @@
-"""Distributed sweep execution: coordinator/worker over sockets or a spool dir.
+"""Distributed sweep execution: a coordinator and its workers over TCP.
 
 A sweep's :class:`~repro.experiments.parallel.RunJob`\\ s are independent
 and deterministic, which makes distribution almost embarrassingly simple
@@ -13,20 +13,20 @@ at-least-once execution is observably identical to exactly-once.
 Layout:
 
 * :mod:`repro.distwork.protocol` -- the length-prefixed JSON frame
-  format, endpoint parsing, and the job / policy / outcome wire codecs.
+  format, ``host:port`` endpoint parsing, and the job / policy / outcome
+  wire codecs.
 * :mod:`repro.distwork.coordinator` -- the :class:`TaskBoard` lease
-  ledger and the two transports (:class:`TcpCoordinator`,
-  :class:`DirCoordinator`) that serve it to workers.
+  ledger and the :class:`TcpCoordinator` that serves it to workers.
 * :mod:`repro.distwork.worker` -- the ``repro worker`` process: lease,
   heartbeat, execute via the existing resilient per-job path, report.
 
 The user-facing entry points are
 :class:`repro.experiments.distributed.DistributedExecutor` (coordinator
 side, behind the :class:`~repro.experiments.executor.Executor` protocol)
-and the ``repro worker ENDPOINT`` CLI (worker side).
+and the ``repro worker HOST:PORT`` CLI (worker side).
 """
 
-from repro.distwork.coordinator import DirCoordinator, TaskBoard, TcpCoordinator
+from repro.distwork.coordinator import TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -35,7 +35,6 @@ from repro.distwork.protocol import (
 from repro.distwork.worker import run_worker
 
 __all__ = [
-    "DirCoordinator",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "TaskBoard",

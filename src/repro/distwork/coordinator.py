@@ -1,9 +1,9 @@
-"""Coordinator side of distributed sweeps: lease ledger and transports.
+"""Coordinator side of distributed sweeps: the lease ledger and its server.
 
-The :class:`TaskBoard` is the authoritative ledger for the TCP transport:
-which tasks are pending, which are leased (and how stale the lease's
-heartbeat is), which have settled.  Its invariants carry the whole
-fault-tolerance story:
+The :class:`TaskBoard` is the one authoritative ledger: which tasks are
+pending, which are leased (and how stale the lease's heartbeat is),
+which have settled.  Its invariants carry the whole fault-tolerance
+story:
 
 * a task is **settled at most once** -- late duplicate results from a
   stolen-then-finished lease are dropped, which is what makes
@@ -16,27 +16,16 @@ fault-tolerance story:
   as a final ``crash`` :class:`~repro.experiments.outcomes.RunFailure`
   instead of looping forever.
 
-Transports serve the ledger to workers:
-
-* :class:`TcpCoordinator` -- a threading TCP server speaking the framed
-  JSON protocol (:mod:`repro.distwork.protocol`); worker disconnection
-  releases its leases immediately, heartbeats extend them.
-* :class:`DirCoordinator` -- no sockets: tasks spool as files on a
-  shared directory (``tasks/`` -> atomically renamed to ``active/`` on
-  claim -> result in ``results/``), heartbeats are ``mtime`` touches,
-  and stale ``active/`` files get moved back to ``tasks/``.  Works over
-  NFS between hosts with no ports open.
-
-Both expose the same narrow surface to
+:class:`TcpCoordinator` serves the ledger to workers: a threading TCP
+server speaking the framed JSON protocol (:mod:`repro.distwork.protocol`);
+worker disconnection releases its leases immediately, heartbeats extend
+them.  It exposes a narrow surface to
 :class:`~repro.experiments.distributed.DistributedExecutor`:
 ``publish`` / ``pump`` / ``cancel_pending`` / ``stop`` / ``close``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import queue
 import socketserver
 import threading
@@ -49,10 +38,9 @@ from repro.distwork.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import RunFailure
 
-__all__ = ["DirCoordinator", "TaskBoard", "TcpCoordinator"]
+__all__ = ["TaskBoard", "TcpCoordinator"]
 
 
 def _lost_lease_outcome(task: dict[str, Any], attempts: int) -> dict[str, Any]:
@@ -84,7 +72,7 @@ def _max_attempts(task: dict[str, Any]) -> int:
 
 
 class TaskBoard:
-    """Thread-safe pending/leased/settled ledger (TCP transport state).
+    """Thread-safe pending/leased/settled ledger.
 
     Tasks are wire-format dicts (``{"id", "job", "policy", "attempt"}``)
     so the board never needs the simulation layer.  All mutation happens
@@ -285,132 +273,3 @@ class TcpCoordinator:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5.0)
-
-
-class DirCoordinator:
-    """Spool-directory transport: the filesystem *is* the task board.
-
-    Layout under ``root``::
-
-        tasks/<id>.json    queued task (claim = atomic rename to active/)
-        active/<id>.json   leased task; worker heartbeats by touching mtime
-        results/<id>.json  settled outcome (written via temp file + rename)
-        stop               sentinel; workers exit when it appears
-
-    Construction empties all three directories (and removes the
-    sentinel): the spool is transient per-sweep state owned by the
-    coordinator, and files left by a previous run must never be adopted
-    as this run's tasks or results.
-
-    Lease expiry is wall-clock mtime staleness, so coordinator and worker
-    clocks must agree to within the lease timeout -- fine on one host or
-    NFS; pick a generous timeout across machines.
-    """
-
-    def __init__(self, root: "str | pathlib.Path", *, lease_timeout: float = 30.0):
-        self.root = pathlib.Path(root)
-        self.lease_timeout = lease_timeout
-        self.tasks_dir = self.root / "tasks"
-        self.active_dir = self.root / "active"
-        self.results_dir = self.root / "results"
-        for directory in (self.tasks_dir, self.active_dir, self.results_dir):
-            directory.mkdir(parents=True, exist_ok=True)
-            # The coordinator owns the spool: leftover tasks, leases and
-            # results from a previous sweep would otherwise be adopted as
-            # this run's (workers would run stale tasks, and a stale
-            # result whose id collides with a fresh task would settle it
-            # with the wrong payload), so a new coordinator always starts
-            # from an empty spool.
-            for leftover in directory.iterdir():
-                if not leftover.is_file():
-                    continue
-                try:
-                    leftover.unlink()
-                except FileNotFoundError:
-                    pass
-        # A leftover sentinel from a previous sweep would make fresh
-        # workers exit on arrival.
-        self._stop_path = self.root / "stop"
-        try:
-            self._stop_path.unlink()
-        except FileNotFoundError:
-            pass
-        self._settled: set[str] = set()
-
-    def publish(self, task: dict[str, Any]) -> None:
-        self._write_json(self.tasks_dir / f"{task['id']}.json", task)
-
-    def pump(self) -> list[tuple[str, dict[str, Any]]]:
-        """Collect new results; steal stale leases back onto the queue."""
-        settled: list[tuple[str, dict[str, Any]]] = []
-        for path in sorted(self.results_dir.glob("*.json")):
-            tid = path.stem
-            if tid in self._settled:
-                continue
-            try:
-                message = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue  # mid-rename race or damage; retry next pump
-            self._settled.add(tid)
-            settled.append((tid, message["outcome"]))
-            for leftover in (self.tasks_dir / path.name, self.active_dir / path.name):
-                try:
-                    leftover.unlink()
-                except FileNotFoundError:
-                    pass
-        stale_before = time.time() - self.lease_timeout
-        for path in sorted(self.active_dir.glob("*.json")):
-            if path.stem in self._settled:
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-                continue
-            try:
-                if path.stat().st_mtime > stale_before:
-                    continue
-                task = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue  # claimed/heartbeat mid-scan; leave it
-            task["attempt"] = int(task.get("attempt", 0)) + 1
-            attempts = task["attempt"]
-            if attempts >= _max_attempts(task):
-                self._settled.add(path.stem)
-                settled.append((path.stem, _lost_lease_outcome(task, attempts)))
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-            else:
-                # Steal: rewrite the active file with the attempt
-                # charged, then rename that one file back onto the
-                # queue.  The task lives in exactly one directory at
-                # every instant -- publishing to ``tasks/`` first would
-                # let a worker claim the re-queued copy (its rename
-                # lands on the still-present active path) only to have
-                # this sweep's unlink delete the claim.
-                self._write_json(path, task)
-                try:
-                    os.replace(path, self.tasks_dir / path.name)
-                except FileNotFoundError:
-                    pass  # settled between the rewrite and the re-queue
-        return settled
-
-    def cancel_pending(self) -> int:
-        dropped = 0
-        for path in self.tasks_dir.glob("*.json"):
-            try:
-                path.unlink()
-                dropped += 1
-            except FileNotFoundError:
-                pass
-        return dropped
-
-    def stop(self) -> None:
-        self._stop_path.touch()
-
-    def close(self) -> None:
-        self.stop()
-
-    def _write_json(self, path: pathlib.Path, payload: dict[str, Any]) -> None:
-        atomic_write(path, json.dumps(payload, separators=(",", ":")))

@@ -2,10 +2,8 @@
 
 Frames
 ------
-Both transports move the same JSON messages; the TCP transport frames
-them as a 4-byte big-endian unsigned length followed by that many bytes
-of UTF-8 JSON (the ``dir`` transport writes one message per spool file
-instead, atomically via temp file + rename).  A peer closing its socket
+Each JSON message is framed as a 4-byte big-endian unsigned length
+followed by that many bytes of UTF-8 JSON.  A peer closing its socket
 *between* frames is a clean EOF (:func:`recv_frame` returns ``None``);
 closing mid-frame is damage and raises :class:`ProtocolError`, as does a
 frame longer than :data:`MAX_FRAME` (a corrupted length prefix would
@@ -143,22 +141,28 @@ def _recv_exact(sock: socket.socket, count: int, eof_ok: bool) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
-def parse_endpoint(endpoint: str) -> tuple[str, Any]:
-    """``host:port`` -> ``("tcp", (host, port))``; anything else is a spool dir.
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """``host:port`` -> ``(host, port)``; port 0 binds an ephemeral port.
 
-    A Windows drive letter never parses as a port, and a bare directory
-    name contains no colon, so the two shapes cannot collide in practice;
-    ``./host:8080`` forces the directory reading if one ever does.
+    Anything else -- an empty host, a path, a port that is not an
+    integer in 0-65535 -- raises :class:`ValueError` naming the expected
+    shape, so a typo fails where it is typed instead of surfacing later
+    as a coordinator no worker can reach.
     """
-    if not endpoint:
-        raise ValueError("empty workers endpoint")
-    host, sep, port = endpoint.rpartition(":")
-    if sep and host and "/" not in endpoint and "\\" not in endpoint:
-        try:
-            return "tcp", (host, int(port))
-        except ValueError:
-            pass
-    return "dir", endpoint
+    host, _, port = endpoint.rpartition(":")
+    if (
+        host
+        and "/" not in host
+        and "\\" not in host
+        and port.isascii()
+        and port.isdigit()
+        and int(port) <= 65535
+    ):
+        return host, int(port)
+    raise ValueError(
+        f"workers endpoint {endpoint!r} is not host:port "
+        "(a host name and a port in 0-65535)"
+    )
 
 
 # ---------------------------------------------------------------------------

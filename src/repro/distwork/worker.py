@@ -25,29 +25,23 @@ Two conditions interrupt a leased run the way a local lane would:
   killed and is charged a retryable ``timeout`` failure.  Without this
   the background heartbeat would keep a hung job's lease alive forever
   and stall the whole sweep.
-* a **lost lease** -- a heartbeat answered ``lost`` (tcp) or a vanished
-  active file (dir) means the task was stolen or settled elsewhere; the
-  worker abandons the run (between attempts, or mid-attempt by killing
-  the lane's child when a timeout is set) and leases fresh work instead
-  of finishing a job whose result would be dropped.
+* a **lost lease** -- a heartbeat answered ``lost`` means the task was
+  stolen or settled elsewhere; the worker abandons the run (between
+  attempts, or mid-attempt by killing the lane's child when a timeout is
+  set) and leases fresh work instead of finishing a job whose result
+  would be dropped.
 
-Both transports are symmetrical for the worker:
-
-* **tcp** -- one persistent framed-JSON connection; a background thread
-  shares the socket under a lock to heartbeat while the main thread
-  simulates.
-* **dir** -- claim ``tasks/<id>.json`` by atomic rename into ``active/``,
-  heartbeat by touching the claimed file's mtime, report by writing
-  ``results/<id>.json``.
+The worker holds one persistent framed-JSON connection to the
+coordinator; a background thread shares the socket under a lock to
+heartbeat while the main thread simulates.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import pathlib
 import socket
+import sys
 import threading
 import time
 from typing import Any, Callable
@@ -64,7 +58,6 @@ from repro.distwork.protocol import (
 )
 from repro.experiments.cache import RunCache
 from repro.experiments.executor import Lane
-from repro.experiments.journal import atomic_write
 from repro.experiments.outcomes import ExecutionInterrupted, JobOutcome
 from repro.experiments.parallel import run_job_outcome
 
@@ -121,51 +114,6 @@ def execute_leased_job(
     return outcome_to_dict(outcome)
 
 
-def run_worker(
-    endpoint: str,
-    *,
-    cache: RunCache | None = None,
-    worker_id: str | None = None,
-    poll: float = 0.2,
-    idle_timeout: float | None = None,
-    reconnect_window: float = 10.0,
-    stop_event: "threading.Event | None" = None,
-) -> int:
-    """Serve jobs from ``endpoint`` until stopped; returns jobs executed.
-
-    Exits when the coordinator says stop, when ``idle_timeout`` seconds
-    pass with nothing to do, when ``stop_event`` is set (in-process
-    embedding, used by tests), or -- tcp only -- when the coordinator
-    stays unreachable for ``reconnect_window`` seconds.
-    """
-    if worker_id is None:
-        worker_id = f"{socket.gethostname()}-{os.getpid()}"
-    kind, target = parse_endpoint(endpoint)
-    if kind == "tcp":
-        return _run_tcp_worker(
-            target,
-            cache=cache,
-            worker_id=worker_id,
-            poll=poll,
-            idle_timeout=idle_timeout,
-            reconnect_window=reconnect_window,
-            stop_event=stop_event,
-        )
-    return _run_dir_worker(
-        pathlib.Path(target),
-        cache=cache,
-        worker_id=worker_id,
-        poll=poll,
-        idle_timeout=idle_timeout,
-        stop_event=stop_event,
-    )
-
-
-# ---------------------------------------------------------------------------
-# TCP transport
-# ---------------------------------------------------------------------------
-
-
 class _Connection:
     """One framed connection; a lock serializes whole request/response
     exchanges so the heartbeat thread and the main thread can share it."""
@@ -194,16 +142,28 @@ class _Connection:
             pass
 
 
-def _run_tcp_worker(
-    address: tuple[str, int],
+def run_worker(
+    endpoint: str,
     *,
-    cache: RunCache | None,
-    worker_id: str,
-    poll: float,
-    idle_timeout: float | None,
-    reconnect_window: float,
-    stop_event: "threading.Event | None",
+    cache: RunCache | None = None,
+    worker_id: str | None = None,
+    poll: float = 0.2,
+    idle_timeout: float | None = None,
+    reconnect_window: float = 10.0,
+    stop_event: "threading.Event | None" = None,
 ) -> int:
+    """Serve jobs from the coordinator at ``endpoint`` (``host:port``)
+    until stopped; returns jobs executed.
+
+    Exits when the coordinator says stop, when ``idle_timeout`` seconds
+    pass with nothing to do, when ``stop_event`` is set (in-process
+    embedding, used by tests), or when the coordinator stays unreachable
+    for ``reconnect_window`` seconds.  A malformed ``endpoint`` raises
+    :class:`ValueError` before anything connects.
+    """
+    address = parse_endpoint(endpoint)
+    if worker_id is None:
+        worker_id = f"{socket.gethostname()}-{os.getpid()}"
     executed = 0
     conn: _Connection | None = None
     unreachable_since: float | None = None
@@ -240,7 +200,7 @@ def _run_tcp_worker(
                 if op != "task":
                     raise ProtocolError(f"expected task/idle/stop, got {op!r}")
                 idle_since = None
-                outcome = _run_tcp_task(conn, reply, cache)
+                outcome = _run_task(conn, reply, cache)
                 if outcome is None:
                     continue  # lease lost mid-run; the task settled elsewhere
                 conn.exchange(
@@ -255,7 +215,7 @@ def _run_tcp_worker(
             conn.close()
 
 
-def _run_tcp_task(
+def _run_task(
     conn: _Connection, task: dict[str, Any], cache: RunCache | None
 ) -> "dict[str, Any] | None":
     """Execute under a background heartbeat on the shared connection.
@@ -278,112 +238,6 @@ def _run_tcp_task(
             if reply.get("op") == "lost":
                 lost.set()
                 return
-
-    thread = threading.Thread(target=beat, name="distwork-heartbeat", daemon=True)
-    thread.start()
-    try:
-        return execute_leased_job(task, cache, should_abandon=lost.is_set)
-    except ExecutionInterrupted:
-        return None
-    finally:
-        done.set()
-        thread.join(timeout=5.0)
-
-
-# ---------------------------------------------------------------------------
-# Spool-directory transport
-# ---------------------------------------------------------------------------
-
-
-def _run_dir_worker(
-    root: pathlib.Path,
-    *,
-    cache: RunCache | None,
-    worker_id: str,
-    poll: float,
-    idle_timeout: float | None,
-    stop_event: "threading.Event | None",
-) -> int:
-    tasks_dir = root / "tasks"
-    active_dir = root / "active"
-    results_dir = root / "results"
-    for directory in (tasks_dir, active_dir, results_dir):
-        directory.mkdir(parents=True, exist_ok=True)
-    executed = 0
-    idle_since: float | None = None
-    while True:
-        if stop_event is not None and stop_event.is_set():
-            return executed
-        if (root / "stop").exists():
-            return executed
-        claimed = _claim_dir_task(tasks_dir, active_dir)
-        if claimed is None:
-            now = time.monotonic()
-            if idle_since is None:
-                idle_since = now
-            if idle_timeout is not None and now - idle_since >= idle_timeout:
-                return executed
-            time.sleep(poll)
-            continue
-        idle_since = None
-        active_path, task = claimed
-        outcome = _run_dir_task(active_path, task, cache)
-        if outcome is None:
-            continue  # lease lost mid-run; the task settled elsewhere
-        atomic_write(
-            results_dir / active_path.name,
-            json.dumps({"id": task["id"], "outcome": outcome}, separators=(",", ":")),
-        )
-        try:
-            active_path.unlink()
-        except FileNotFoundError:  # stolen while we finished; settle wins
-            pass
-        executed += 1
-
-
-def _claim_dir_task(
-    tasks_dir: pathlib.Path, active_dir: pathlib.Path
-) -> tuple[pathlib.Path, dict[str, Any]] | None:
-    """Atomically move the oldest queued task into ``active/``.
-
-    ``os.replace`` of one source path succeeds for exactly one claimant;
-    the loser's ``FileNotFoundError`` just means someone else got it.
-    """
-    for path in sorted(tasks_dir.glob("*.json")):
-        target = active_dir / path.name
-        try:
-            os.replace(path, target)
-        except FileNotFoundError:
-            continue
-        try:
-            task = json.loads(target.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):  # pragma: no cover - damage
-            continue
-        return target, task
-    return None
-
-
-def _run_dir_task(
-    active_path: pathlib.Path, task: dict[str, Any], cache: RunCache | None
-) -> "dict[str, Any] | None":
-    """Execute under a background mtime heartbeat on the claimed file.
-
-    Returns ``None`` when the active file vanished -- the lease was
-    stolen back onto the queue or the task settled elsewhere, so the
-    run was abandoned and there is nothing to report.
-    """
-    done = threading.Event()
-    lost = threading.Event()
-
-    def beat() -> None:
-        while not done.wait(1.0):
-            try:
-                os.utime(active_path)
-            except FileNotFoundError:
-                lost.set()  # stolen or settled elsewhere; abandon the run
-                return
-            except OSError:
-                return  # transient damage: stop beating, let the lease lapse
 
     thread = threading.Thread(target=beat, name="distwork-heartbeat", daemon=True)
     thread.start()
@@ -485,7 +339,6 @@ def run_supervisor(
 def _spawn_worker_process(argv: list[str]):
     """Start one ``repro worker`` child with this interpreter."""
     import subprocess
-    import sys
 
     return subprocess.Popen([sys.executable, "-m", "repro", "worker", *argv])
 
@@ -532,11 +385,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro worker",
         description=(
-            "Serve simulation jobs leased from a sweep coordinator. "
-            "ENDPOINT is host:port (tcp) or a shared spool directory."
+            "Serve simulation jobs leased from a sweep coordinator "
+            "listening on ENDPOINT (host:port)."
         ),
     )
-    parser.add_argument("endpoint", help="coordinator host:port or spool directory")
+    parser.add_argument("endpoint", help="coordinator host:port")
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -565,9 +418,9 @@ def main(argv: "list[str] | None" = None) -> int:
         type=float,
         default=10.0,
         help=(
-            "tcp only: exit after the coordinator stays unreachable this "
-            "many seconds (default: 10; raise it to start workers before "
-            "the sweep)"
+            "exit after the coordinator stays unreachable this many "
+            "seconds (default: 10; raise it to start workers before the "
+            "sweep)"
         ),
     )
     parser.add_argument(
@@ -594,6 +447,11 @@ def main(argv: "list[str] | None" = None) -> int:
         help="supervisor: stop restarting after this many respawns total",
     )
     args = parser.parse_args(argv)
+    try:
+        parse_endpoint(args.endpoint)
+    except ValueError as exc:
+        print(f"repro worker: {exc}", file=sys.stderr)
+        return 2
     if args.supervise:
         return _supervise_main(args)
     cache = None if args.no_cache else RunCache(args.cache_dir)

@@ -6,7 +6,7 @@ sweep's jobs as leased tasks, then drains settled outcomes on the
 calling thread -- so ``on_outcome`` keeps the exact threading contract
 the workbench and the sweep manifest journal rely on -- until every job
 has settled.  Workers are *external*: start any number of ``repro
-worker ENDPOINT`` processes (before or after the sweep starts; they
+worker HOST:PORT`` processes (before or after the sweep starts; they
 lease work as they arrive and more can join mid-sweep).
 
 Determinism: jobs are deterministic in their fields and the shared
@@ -51,20 +51,20 @@ __all__ = ["DistributedExecutor"]
 class DistributedExecutor:
     """Shard jobs over ``repro worker`` processes at ``endpoint``.
 
-    ``endpoint`` selects the transport
-    (:func:`repro.distwork.protocol.parse_endpoint`): ``host:port`` binds
-    a TCP coordinator there (port 0 for ephemeral -- see
-    :attr:`endpoint` after first use), anything else is a shared spool
-    directory.  The transport outlives individual ``execute()`` calls --
-    a sweep is many prefetches and workers stay connected throughout --
+    ``endpoint`` is ``host:port``: the TCP coordinator binds there (port
+    0 for ephemeral -- see :attr:`endpoint` after first use).  It is
+    parsed here, so a malformed one raises :class:`ValueError` at
+    construction (:func:`repro.distwork.protocol.parse_endpoint`); one
+    that parses but cannot be bound raises
+    :class:`~repro.experiments.outcomes.ExecutorUnavailable` on first
+    use.  The transport outlives individual ``execute()`` calls -- a
+    sweep is many prefetches and workers stay connected throughout --
     and is released by :meth:`close`, which also tells idle workers to
     exit.
 
     ``lease_timeout`` bounds how long a silent worker holds a job before
     it is re-queued for someone else; it must comfortably exceed one
-    job's runtime over the heartbeat interval (a third of it), and on the
-    spool transport it compares file mtimes across machines, so keep it
-    generous there.
+    job's runtime over the heartbeat interval (a third of it).
     """
 
     name = "distributed"
@@ -76,47 +76,42 @@ class DistributedExecutor:
         lease_timeout: float = 15.0,
         poll: float = 0.05,
     ):
-        if not endpoint:
-            raise ValueError("DistributedExecutor needs a workers endpoint")
+        from repro.distwork.protocol import parse_endpoint
+
+        parse_endpoint(endpoint)  # a malformed endpoint fails here
         self.endpoint = endpoint
         self.lease_timeout = lease_timeout
         self.poll = poll
         self._transport = None
         self._batch = 0
         # Task ids are scoped to this executor instance: a plain batch
-        # counter would repeat across runs, and a reused spool directory
-        # (or a late message from an earlier coordinator) could then
-        # settle a fresh job with a stale payload.
+        # counter would repeat across runs, and a late message from an
+        # earlier coordinator on the same port could then settle a
+        # fresh job with a stale payload.
         self._nonce = uuid.uuid4().hex[:8]
 
     # ------------------------------------------------------------------
     def _ensure_transport(self):
         if self._transport is None:
-            from repro.distwork.coordinator import DirCoordinator, TcpCoordinator
+            from repro.distwork.coordinator import TcpCoordinator
             from repro.distwork.protocol import parse_endpoint
 
-            kind, target = parse_endpoint(self.endpoint)
+            host, port = parse_endpoint(self.endpoint)
             try:
-                if kind == "tcp":
-                    host, port = target
-                    self._transport = TcpCoordinator(
-                        host, port, lease_timeout=self.lease_timeout
-                    )
-                    host, port = self._transport.address
-                    self.endpoint = f"{host}:{port}"
-                else:
-                    self._transport = DirCoordinator(
-                        target, lease_timeout=self.lease_timeout
-                    )
+                self._transport = TcpCoordinator(
+                    host, port, lease_timeout=self.lease_timeout
+                )
             except OSError as exc:
                 # The endpoint is unusable (port taken, bad interface,
-                # unwritable spool...).  Surface it as a backend-down
+                # unresolvable host...).  Surface it as a backend-down
                 # condition the circuit breaker can count, not a raw
                 # socket error.
                 raise ExecutorUnavailable(
                     f"cannot open workers endpoint {self.endpoint!r}: "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
+            host, port = self._transport.address
+            self.endpoint = f"{host}:{port}"
         return self._transport
 
     def execute(
@@ -199,16 +194,15 @@ class DistributedExecutor:
         from repro.experiments.cache import job_key
 
         wire = outcome_from_dict(message)
-        # Identity check before re-anchoring: per-run task ids and the
-        # coordinator's spool clearing make a payload/job mismatch
-        # structurally impossible, so one here means a stale or damaged
-        # message -- refuse loudly rather than settle a job with some
-        # other job's result.
+        # Identity check before re-anchoring: per-run task ids make a
+        # payload/job mismatch structurally impossible, so one here means
+        # a stale or damaged message -- refuse loudly rather than settle
+        # a job with some other job's result.
         if job_key(wire.job) != job_key(job):
             raise ProtocolError(
                 "settled outcome carries a different job than the one "
                 f"published for it (kernel {wire.job.kernel!r} vs "
-                f"{job.kernel!r}): stale spool entry or damaged payload"
+                f"{job.kernel!r}): stale or damaged payload"
             )
         # Re-anchor on the locally-held job object: it round-trips
         # bit-identically, but the local instance is what the caller's

@@ -28,9 +28,9 @@ Backends:
   degradation; ``sim="batched"`` jobs stay in-process on the trace memo
   (:mod:`repro.experiments.batch`) unless only a lane can honour the
   policy.
-* :class:`~repro.experiments.distributed.DistributedExecutor` -- a
-  coordinator sharding jobs to ``repro worker`` processes over sockets
-  or a spool directory (:mod:`repro.distwork`).
+* :class:`~repro.experiments.distributed.DistributedExecutor` -- a TCP
+  coordinator sharding jobs to ``repro worker`` processes
+  (:mod:`repro.distwork`).
 
 ``make_executor`` is the one registry; spec files select a backend by
 name through ``execution.executor`` and the CLI through ``--executor``.
@@ -88,9 +88,8 @@ def make_executor(
 ) -> "Executor":
     """Build the named executor backend.
 
-    ``workers`` feeds the local pool; ``endpoint`` (``host:port`` or a
-    spool directory) is required by -- and only consumed by -- the
-    distributed backend.
+    ``workers`` feeds the local pool; ``endpoint`` (``host:port``) is
+    required by -- and only consumed by -- the distributed backend.
     """
     if name == "local":
         return LocalPoolExecutor(workers=workers)
@@ -98,8 +97,8 @@ def make_executor(
         if not endpoint:
             raise ValueError(
                 "the distributed executor needs a workers endpoint "
-                "(host:port or a spool directory); pass --workers-endpoint "
-                "on the CLI or endpoint= in code"
+                "(host:port); pass --workers-endpoint on the CLI or "
+                "endpoint= in code"
             )
         from repro.experiments.distributed import DistributedExecutor
 
@@ -129,8 +128,9 @@ class Executor(Protocol):
     * ``policy.fail_fast`` raises :class:`RunFailureError` on the first
       final failure.
 
-    ``close()`` releases long-lived resources (sockets, spool state);
-    the local backend holds none and treats it as a no-op.
+    ``close()`` releases long-lived resources (the distributed
+    backend's coordinator socket); the local backend holds none and
+    treats it as a no-op.
     """
 
     name: str

@@ -121,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ENDPOINT",
         help="where distributed workers rendezvous: host:port (binds a "
-        "coordinator socket there) or a shared spool directory; required "
-        "with --executor distributed",
+        "coordinator socket there); required with --executor distributed",
     )
     parser.add_argument(
         "--cache-dir",
@@ -254,11 +253,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.executor == "distributed" and not args.workers_endpoint:
         print(
-            "--executor distributed needs --workers-endpoint "
-            "(host:port or a shared spool directory)",
+            "--executor distributed needs --workers-endpoint host:port",
             file=sys.stderr,
         )
         return 2
+    if args.workers_endpoint is not None:
+        from repro.distwork.protocol import parse_endpoint
+
+        try:
+            parse_endpoint(args.workers_endpoint)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     cache = None if args.no_cache else RunCache(args.cache_dir, tracer=tracer)
     bench = Workbench(
         instructions=args.instructions,

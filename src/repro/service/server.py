@@ -235,7 +235,7 @@ class ReproServer:
             if not workers_endpoint:
                 raise ValueError(
                     "the distributed executor needs a workers endpoint "
-                    "(host:port or a spool directory)"
+                    "(host:port)"
                 )
             if breaker_fallback not in ("local", "hold"):
                 raise ValueError(

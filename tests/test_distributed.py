@@ -5,22 +5,19 @@ produced through any number of workers, any join order, stolen leases
 and injected faults must be bit-identical to a serial in-process run.
 The shared content-addressed :class:`RunCache` is the result store, so
 at-least-once execution (work stealing, duplicated runs) is benign by
-construction; these tests drive both transports, kill a real worker
+construction; these tests drive the TCP coordinator, kill a real worker
 process mid-sweep, corrupt a cache entry, and interrupt/resume through
 the sweep manifest to prove it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import shutil
 import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
@@ -29,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import results_identical
-from repro.distwork.coordinator import DirCoordinator, TaskBoard, TcpCoordinator
+from repro.distwork.coordinator import TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
     ProtocolError,
     job_from_dict,
@@ -88,8 +85,22 @@ def make_jobs(bench, policies=("l", "s")):
     ]
 
 
+def tcp_executor(**kwargs):
+    """A distributed executor already bound to an ephemeral local port;
+    point workers at its ``endpoint``."""
+    executor = DistributedExecutor("127.0.0.1:0", **kwargs)
+    executor._ensure_transport()
+    return executor
+
+
 def start_worker_threads(
-    endpoint, count, *, cache_root=None, poll=0.01, delays=None
+    endpoint,
+    count,
+    *,
+    cache_root=None,
+    poll=0.01,
+    delays=None,
+    reconnect_window=10.0,
 ):
     """In-process workers (threads): returns (threads, counts, stop_event)."""
     stop = threading.Event()
@@ -104,6 +115,7 @@ def start_worker_threads(
             cache=cache,
             worker_id=f"t{index}",
             poll=poll,
+            reconnect_window=reconnect_window,
             stop_event=stop,
         )
 
@@ -130,12 +142,27 @@ def stop_worker_threads(executor, threads, stop):
 
 class TestProtocol:
     def test_parse_endpoint(self):
-        assert parse_endpoint("127.0.0.1:7070") == ("tcp", ("127.0.0.1", 7070))
-        assert parse_endpoint("localhost:0") == ("tcp", ("localhost", 0))
-        assert parse_endpoint("/tmp/spool")[0] == "dir"
-        assert parse_endpoint("relative/spool")[0] == "dir"
-        with pytest.raises(ValueError):
-            parse_endpoint("")
+        assert parse_endpoint("127.0.0.1:7070") == ("127.0.0.1", 7070)
+        assert parse_endpoint("localhost:0") == ("localhost", 0)
+        assert parse_endpoint("localhost:65535") == ("localhost", 65535)
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "",
+            "/tmp/spool",
+            "host:abc",
+            ":7070",
+            "host:",
+            "127.0.0.1:70000",
+            "127.0.0.1:-1",
+        ],
+    )
+    def test_malformed_endpoint_is_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="host:port"):
+            parse_endpoint(endpoint)
+        with pytest.raises(ValueError, match="host:port"):
+            DistributedExecutor(endpoint)
 
     def test_job_round_trip(self):
         bench = make_bench()
@@ -206,6 +233,27 @@ class TestTaskBoard:
         board.release_worker("w1")  # no revival after settle
         assert board.claim("w2") is None
 
+    def test_stolen_task_completed_by_its_first_lease_settles_once(self):
+        board = TaskBoard(lease_timeout=0.0)
+        board.add(self._task())
+        board.claim("w1")
+        board.reap_expired()  # stolen back onto the queue
+        assert board.complete("t1", {"ok": True})  # the slow lease finishes
+        assert board.claim("w2") is None  # never leased again
+        assert board.results.qsize() == 1
+
+    def test_disconnected_worker_lease_requeues_with_attempt_charged(self):
+        board = TaskBoard(lease_timeout=60.0)
+        board.add(self._task("a"))
+        board.add(self._task("b"))
+        assert board.claim("w1")["id"] == "a"
+        assert board.claim("w2")["id"] == "b"
+        board.release_worker("w1")
+        requeued = board.claim("w3")
+        assert requeued is not None
+        assert requeued["id"] == "a" and requeued["attempt"] == 1
+        assert board.claim("w3") is None  # w2's live lease is untouched
+
     def test_cancel_pending_drops_unleased_tasks(self):
         board = TaskBoard(lease_timeout=60.0)
         board.add(self._task("a"))
@@ -216,54 +264,40 @@ class TestTaskBoard:
 
 
 # ---------------------------------------------------------------------------
-# Spool hygiene: a reused spool directory must never leak a previous run
+# A reused endpoint must never leak a previous run
 # ---------------------------------------------------------------------------
 
 
 class TestSpoolHygiene:
-    def test_fresh_dir_coordinator_clears_stale_spool(self, tmp_path):
-        spool = tmp_path / "spool"
-        for sub in ("tasks", "active", "results"):
-            (spool / sub).mkdir(parents=True)
-        (spool / "tasks" / "b001-00000.json").write_text("{}")
-        (spool / "active" / "b001-00001.json").write_text("{}")
-        (spool / "results" / "b001-00002.json").write_text(
-            '{"id": "b001-00002", "outcome": {}}'
-        )
-        (spool / "stop").touch()
-        coordinator = DirCoordinator(spool)
-        assert coordinator.pump() == []
-        assert not list((spool / "tasks").iterdir())
-        assert not list((spool / "active").iterdir())
-        assert not list((spool / "results").iterdir())
-        assert not (spool / "stop").exists()
-
-    def test_task_ids_are_scoped_per_executor(self, tmp_path):
-        first = DistributedExecutor(str(tmp_path / "a"))
-        second = DistributedExecutor(str(tmp_path / "b"))
+    def test_task_ids_are_scoped_per_executor(self):
+        first = DistributedExecutor("127.0.0.1:0")
+        second = DistributedExecutor("127.0.0.1:0")
         assert first._nonce != second._nonce
 
-    def test_reused_spool_reexecutes_instead_of_adopting_results(self, tmp_path):
-        """The review scenario: sweep A leaves results/*.json behind; a
-        later sweep B over the same spool directory (different jobs!)
-        must execute its own jobs, not settle them with A's outcomes."""
+    def test_reused_spool_reexecutes_instead_of_adopting_results(self):
+        """Sweep A runs on a port; a later sweep B binds the same port
+        (different jobs!) and must execute its own jobs, not settle them
+        with A's outcomes -- a late report of A's task is dropped."""
         from repro.experiments.parallel import execute_job
 
-        spool = str(tmp_path / "spool")
         bench = make_bench()
         jobs_a = make_jobs(bench, policies=("l",))
-        first = DistributedExecutor(spool, poll=0.01)
-        threads, _, stop = start_worker_threads(spool, 1)
+        first = tcp_executor(poll=0.01)
+        threads, _, stop = start_worker_threads(first.endpoint, 1)
         try:
             outcomes_a = first.execute(jobs_a)
+            stale_ids = list(first._transport.board._tasks)
         finally:
             stop_worker_threads(first, threads, stop)
         assert all(outcome.ok for outcome in outcomes_a)
 
         jobs_b = make_jobs(bench, policies=("s",))
-        second = DistributedExecutor(spool, poll=0.01)
-        second._ensure_transport()  # clears the spool (and A's stop file)
-        threads2, counts2, stop2 = start_worker_threads(spool, 1)
+        second = DistributedExecutor(first.endpoint, poll=0.01)
+        board = second._ensure_transport().board
+        assert second.endpoint == first.endpoint
+        for tid, outcome in zip(stale_ids, outcomes_a):
+            assert not board.complete(tid, outcome_to_dict(outcome))
+        threads2, counts2, stop2 = start_worker_threads(second.endpoint, 1)
         try:
             outcomes_b = second.execute(jobs_b)
         finally:
@@ -273,10 +307,10 @@ class TestSpoolHygiene:
             assert outcome.ok and outcome.source == "run"
             assert results_identical(outcome.result, execute_job(job))
 
-    def test_settle_rejects_foreign_job_payload(self, tmp_path):
+    def test_settle_rejects_foreign_job_payload(self):
         bench = make_bench()
         mine, other = make_jobs(bench)[:2]
-        executor = DistributedExecutor(str(tmp_path / "spool"))
+        executor = DistributedExecutor("127.0.0.1:0")
         failure = RunFailure(
             kind="error", error_type="X", message="m", attempts=1, elapsed=0.0
         )
@@ -289,61 +323,22 @@ class TestSpoolHygiene:
 
 
 # ---------------------------------------------------------------------------
-# Stale-lease stealing on the spool transport
-# ---------------------------------------------------------------------------
-
-
-class TestDirSteal:
-    def _publish_claimed(self, coordinator, max_retries):
-        task = {
-            "id": "t1",
-            "job": {"kernel": "gcc"},
-            "policy": {"max_retries": max_retries},
-            "attempt": 0,
-        }
-        coordinator.publish(task)
-        tasks_path = coordinator.tasks_dir / "t1.json"
-        active_path = coordinator.active_dir / "t1.json"
-        os.replace(tasks_path, active_path)  # a worker's claim
-        stale = time.time() - 60.0
-        os.utime(active_path, (stale, stale))
-        return tasks_path, active_path
-
-    def test_steal_moves_task_atomically_back_onto_queue(self, tmp_path):
-        coordinator = DirCoordinator(tmp_path / "spool", lease_timeout=5.0)
-        tasks_path, active_path = self._publish_claimed(coordinator, max_retries=5)
-        assert coordinator.pump() == []
-        # The task lives in exactly one directory: re-queued with the
-        # lost lease's attempt charged, and gone from active/.
-        assert tasks_path.exists() and not active_path.exists()
-        assert json.loads(tasks_path.read_text())["attempt"] == 1
-
-    def test_steal_past_budget_settles_worker_lost(self, tmp_path):
-        coordinator = DirCoordinator(tmp_path / "spool", lease_timeout=5.0)
-        tasks_path, active_path = self._publish_claimed(coordinator, max_retries=0)
-        ((tid, outcome),) = coordinator.pump()
-        assert tid == "t1"
-        assert outcome["failure"]["error_type"] == "WorkerLost"
-        assert not tasks_path.exists() and not active_path.exists()
-
-
-# ---------------------------------------------------------------------------
 # job_timeout enforcement on distributed workers
 # ---------------------------------------------------------------------------
 
 
 class TestDistributedJobTimeout:
-    def test_hung_attempt_is_killed_and_retried(self, tmp_path, monkeypatch):
+    def test_hung_attempt_is_killed_and_retried(self, monkeypatch):
         """A first attempt that hangs (30s chaos sleep) is killed at the
         policy's job_timeout and charged a retryable ``timeout``; the
         retry runs clean.  Before enforcement the worker's heartbeat
         kept the hung job's lease alive for the full hang."""
         chaos = ChaosConfig(rules=(FaultRule(mode="hang", attempts=(1,)),))
         monkeypatch.setenv("REPRO_CHAOS", chaos.env_value())
-        executor = DistributedExecutor(str(tmp_path / "spool"), poll=0.01)
+        executor = tcp_executor(poll=0.01)
         bench = make_bench()
         job = make_jobs(bench, policies=("l",))[0]
-        threads, counts, stop = start_worker_threads(str(tmp_path / "spool"), 1)
+        threads, counts, stop = start_worker_threads(executor.endpoint, 1)
         start = time.monotonic()
         try:
             (outcome,) = executor.execute(
@@ -448,36 +443,18 @@ class TestLostLease:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end over both transports
+# End to end: bit-identical to serial, shared cache reused
 # ---------------------------------------------------------------------------
 
 
 class TestTransportsMatchSerial:
-    def test_dir_transport_bit_identical(self, tmp_path):
+    def test_tcp_transport_and_shared_cache_reuse(self, tmp_path):
         from repro.experiments.parallel import execute_job
 
         serial = make_bench()
         want = [execute_job(job) for job in make_jobs(serial)]
 
-        executor = DistributedExecutor(str(tmp_path / "spool"), poll=0.01)
-        bench = make_bench(cache=RunCache(tmp_path / "cache"), executor=executor)
-        jobs = make_jobs(bench)
-        threads, counts, stop = start_worker_threads(
-            str(tmp_path / "spool"), 2, cache_root=tmp_path / "cache"
-        )
-        try:
-            executed = bench.prefetch(jobs)
-            assert executed == len(jobs)
-            for job, expected in zip(jobs, want):
-                got = bench.result_for(job)
-                assert got is not None and results_identical(expected, got)
-        finally:
-            stop_worker_threads(executor, threads, stop)
-        assert sum(counts) == len(jobs)
-
-    def test_tcp_transport_and_shared_cache_reuse(self, tmp_path):
-        executor = DistributedExecutor("127.0.0.1:0", poll=0.01)
-        executor._ensure_transport()  # resolves the ephemeral port
+        executor = tcp_executor(poll=0.01)
         bench = make_bench(cache=RunCache(tmp_path / "cache"), executor=executor)
         jobs = make_jobs(bench)
         threads, counts, stop = start_worker_threads(
@@ -485,6 +462,9 @@ class TestTransportsMatchSerial:
         )
         try:
             assert bench.prefetch(jobs) == len(jobs)
+            for job, expected in zip(jobs, want):
+                got = bench.result_for(job)
+                assert got is not None and results_identical(expected, got)
             # Same transport, second batch: everything is already in the
             # workbench's memory cache, so nothing is even published.
             assert bench.prefetch(jobs) == 0
@@ -625,16 +605,15 @@ class TestSupervisor:
         it, the coordinator steals the dead lease, and the respawned
         worker finishes the sweep -- no outcome is lost."""
         cache = RunCache(tmp_path / "cache")
-        spool = str(tmp_path / "spool")
-        executor = DistributedExecutor(spool, lease_timeout=1.0, poll=0.01)
-        executor._ensure_transport()
+        executor = tcp_executor(lease_timeout=1.0, poll=0.01)
+        board = executor._transport.board
         bench = make_bench(cache=cache, executor=executor)
         jobs = make_jobs(bench)
 
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         supervisor = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "worker", spool,
+                sys.executable, "-m", "repro", "worker", executor.endpoint,
                 "--cache-dir", str(cache.root), "--supervise", "1",
                 "--poll", "0.02", "--respawn-delay", "0.1",
             ],
@@ -655,10 +634,9 @@ class TestSupervisor:
             # Wait until the worker actually holds a lease, then kill it
             # mid-run (falling back to a timed kill if leases are too
             # quick to observe).
-            active = pathlib.Path(spool) / "active"
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline:
-                if active.exists() and any(active.iterdir()):
+                if board._leases:
                     break
                 time.sleep(0.01)
             os.kill(pid, signal.SIGKILL)
@@ -679,12 +657,13 @@ class TestSupervisor:
             second_pid = read_pid()  # the respawned worker
             assert second_pid != first_pid
         finally:
-            executor.close()  # stop file: the respawn exits 0, supervisor ends
+            executor.close()  # stop reply: the respawn exits 0, supervisor ends
             try:
                 supervisor.wait(timeout=20)
             except subprocess.TimeoutExpired:
                 supervisor.kill()
                 supervisor.wait(timeout=5)
+            supervisor.stdout.close()
         assert supervisor.returncode == 0
 
 
@@ -710,11 +689,11 @@ class TestManifestResume:
         manifest = SweepManifest.open(
             default_manifest_dir(cache.root), spec_hash(spec), spec.name
         )
-        executor = DistributedExecutor(str(tmp_path / "spool1"), poll=0.01)
+        executor = tcp_executor(poll=0.01)
         bench = make_bench(cache=cache, executor=executor)
         jobs = spec.jobs(bench)
         threads, _, stop = start_worker_threads(
-            str(tmp_path / "spool1"), 2, cache_root=cache.root
+            executor.endpoint, 2, cache_root=cache.root
         )
         settled = []
 
@@ -733,16 +712,16 @@ class TestManifestResume:
             stop_worker_threads(executor, threads, stop)
         assert 2 <= len(settled) < len(jobs)
 
-        # Resume on a fresh bench/spool: the manifest reports what was
+        # Resume on a fresh bench/port: the manifest reports what was
         # already journaled and the shared cache supplies those results.
         resumed_manifest = SweepManifest.open(
             default_manifest_dir(cache.root), spec_hash(spec), spec.name
         )
         assert len(resumed_manifest.resumed) == len(settled)
-        executor2 = DistributedExecutor(str(tmp_path / "spool2"), poll=0.01)
+        executor2 = tcp_executor(poll=0.01)
         bench2 = make_bench(cache=RunCache(cache.root), executor=executor2)
         threads2, _, stop2 = start_worker_threads(
-            str(tmp_path / "spool2"), 2, cache_root=cache.root
+            executor2.endpoint, 2, cache_root=cache.root
         )
         try:
             figure = run_spec(bench2, spec, resumed_manifest)
@@ -796,7 +775,7 @@ class _OnePumpTransport:
 class TestStopPolling:
     def test_stop_is_polled_between_outcomes_of_one_pump(self):
         jobs = make_jobs(make_bench())
-        executor = DistributedExecutor("unused-spool")
+        executor = DistributedExecutor("127.0.0.1:0")
         executor._transport = transport = _OnePumpTransport()
         delivered = []
         with pytest.raises(ExecutionInterrupted, match="distributed"):
@@ -829,10 +808,18 @@ class TestSeededCli:
             return [line for line in out.splitlines() if not line.startswith("[")]
 
         want = table(argv)
-        spool = str(tmp_path / "spool")
-        threads, counts, stop = start_worker_threads(spool, 2)
+        # The CLI binds the coordinator when its sweep starts: workers
+        # started first wait for it inside their reconnect window.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            endpoint = "127.0.0.1:%d" % probe.getsockname()[1]
+        threads, counts, stop = start_worker_threads(
+            endpoint, 2, reconnect_window=60.0
+        )
         try:
-            got = table(argv + ["--executor", "distributed", "--workers-endpoint", spool])
+            got = table(
+                argv + ["--executor", "distributed", "--workers-endpoint", endpoint]
+            )
         finally:
             stop.set()
             for thread in threads:
@@ -865,29 +852,63 @@ class TestShardingProperties:
     ):
         """Every submitted job is executed exactly once (no cache, no
         faults), whatever the worker count and whenever workers join."""
-        root = pathlib.Path(tempfile.mkdtemp(prefix="distwork-prop-"))
+        executor = tcp_executor(lease_timeout=60.0, poll=0.005)
+        bench = make_bench(instructions=120, executor=executor)
+        jobs = make_jobs(bench, policies=("l",))
+        threads, counts, stop = start_worker_threads(
+            executor.endpoint,
+            n_workers,
+            cache_root=None,
+            poll=0.005,
+            delays=delays[:n_workers],
+        )
         try:
-            executor = DistributedExecutor(
-                str(root / "spool"), lease_timeout=60.0, poll=0.005
-            )
-            bench = make_bench(instructions=120, executor=executor)
-            jobs = make_jobs(bench, policies=("l",))
-            threads, counts, stop = start_worker_threads(
-                str(root / "spool"),
-                n_workers,
-                cache_root=None,
-                poll=0.005,
-                delays=delays[:n_workers],
-            )
-            try:
-                outcomes = executor.execute(jobs, policy=ExecutionPolicy())
-            finally:
-                stop_worker_threads(executor, threads, stop)
-            assert [outcome.job for outcome in outcomes] == jobs
-            assert all(outcome.ok for outcome in outcomes)
-            assert all(outcome.source == "run" for outcome in outcomes)
-            # No shared cache and generous leases: exactly-once execution,
-            # however the work sharded across however many workers.
-            assert sum(counts) == len(jobs)
+            outcomes = executor.execute(jobs, policy=ExecutionPolicy())
         finally:
-            shutil.rmtree(root, ignore_errors=True)
+            stop_worker_threads(executor, threads, stop)
+        assert [outcome.job for outcome in outcomes] == jobs
+        assert all(outcome.ok for outcome in outcomes)
+        assert all(outcome.source == "run" for outcome in outcomes)
+        # No shared cache and generous leases: exactly-once execution,
+        # however the work sharded across however many workers.
+        assert sum(counts) == len(jobs)
+
+
+# ---------------------------------------------------------------------------
+# A malformed endpoint stops every CLI before it creates anything
+# ---------------------------------------------------------------------------
+
+
+class TestMalformedEndpointCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "figure2", "--instructions", "300", "--executor",
+                "distributed", "--workers-endpoint", "typo:abc",
+                "--cache-dir", "cache",
+            ],
+            [
+                "serve", "--port", "0", "--executor", "distributed",
+                "--workers-endpoint", "127.0.0.1:70000", "--cache-dir", "cache",
+            ],
+            ["worker", "host:abc", "--idle-timeout", "1", "--cache-dir", "cache"],
+            [
+                "worker", "127.0.0.1:70000", "--reconnect-window", "1",
+                "--supervise", "2", "--cache-dir", "cache",
+            ],
+        ],
+        ids=["repro", "serve", "worker", "worker-supervise"],
+    )
+    def test_exits_2_and_creates_nothing(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "host:port" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
