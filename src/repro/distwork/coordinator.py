@@ -174,6 +174,8 @@ class _TcpHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:  # pragma: no cover - exercised via integration
         board: TaskBoard = self.server.board  # type: ignore[attr-defined]
+        handlers: set = self.server.handlers  # type: ignore[attr-defined]
+        handlers.add(self)
         worker = "?"
         try:
             while True:
@@ -194,12 +196,12 @@ class _TcpHandler(socketserver.BaseRequestHandler):
                 elif op == "next":
                     if board.stopping:
                         send_frame(self.request, {"op": "stop"})
+                        break  # the worker exits; serve it no more
+                    task = board.claim(worker)
+                    if task is None:
+                        send_frame(self.request, {"op": "idle"})
                     else:
-                        task = board.claim(worker)
-                        if task is None:
-                            send_frame(self.request, {"op": "idle"})
-                        else:
-                            send_frame(self.request, dict(task, op="task"))
+                        send_frame(self.request, dict(task, op="task"))
                 elif op == "heartbeat":
                     held = board.heartbeat(str(message.get("id")), worker)
                     # "lost" tells a slow-but-alive worker its lease was
@@ -216,6 +218,7 @@ class _TcpHandler(socketserver.BaseRequestHandler):
             pass  # damaged peer: drop the connection, leases release below
         finally:
             board.release_worker(worker)
+            handlers.discard(self)
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):
@@ -236,6 +239,7 @@ class TcpCoordinator:
         self.board = TaskBoard(lease_timeout=lease_timeout)
         self._server = _TcpServer((host, port), _TcpHandler)
         self._server.board = self.board  # type: ignore[attr-defined]
+        self._server.handlers = set()  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -269,7 +273,12 @@ class TcpCoordinator:
         self.board.stopping = True
 
     def close(self) -> None:
+        """Stop, then release the port once every connected worker has
+        been told to stop or has gone, waiting at most one heartbeat interval."""
         self.stop()
+        deadline = time.monotonic() + self.board.lease_timeout / 3.0
+        while self._server.handlers and time.monotonic() < deadline:  # type: ignore[attr-defined]
+            time.sleep(0.05)
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5.0)

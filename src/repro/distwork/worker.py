@@ -14,8 +14,8 @@ stops heartbeating and the task is re-queued for someone else.  The task
 message carries ``attempt`` -- attempts charged by earlier dead leases --
 and the in-process retry loop continues counting from there, so the
 retry budget and the deterministic chaos schedule (``REPRO_CHAOS``
-reaches this process through the environment like any lane child) span
-lease boundaries exactly as they span child respawns locally.
+reaches this process through its environment; its lanes' children get
+each decided fault) span lease boundaries as they span child respawns.
 
 Two conditions interrupt a leased run the way a local lane would:
 
@@ -122,9 +122,13 @@ class _Connection:
         self.sock = socket.create_connection(address, timeout=30.0)
         self.lock = threading.Lock()
         self.worker_id = worker_id
-        reply = self.exchange({"op": "hello", "version": PROTOCOL_VERSION})
-        if reply.get("op") != "welcome":
-            raise ProtocolError(f"expected welcome, got {reply.get('op')!r}")
+        try:
+            reply = self.exchange({"op": "hello", "version": PROTOCOL_VERSION})
+            if reply.get("op") != "welcome":
+                raise ProtocolError(f"expected welcome, got {reply.get('op')!r}")
+        except BaseException:
+            self.close()
+            raise
         self.heartbeat_interval = float(reply.get("heartbeat", 5.0))
 
     def exchange(self, message: dict[str, Any]) -> dict[str, Any]:

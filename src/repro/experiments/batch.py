@@ -52,7 +52,6 @@ above.
 from __future__ import annotations
 
 import gc
-import os
 import threading
 from collections import OrderedDict
 from functools import partial
@@ -227,16 +226,6 @@ TRACE_MEMO_SIZE = 2
 # frozen cache is only filled from that one suite.
 _memo: "OrderedDict[tuple, dict]" = OrderedDict()
 _memo_lock = threading.Lock()
-
-
-def _reset_memo_lock() -> None:
-    # A child forked while another thread held the lock would inherit it
-    # held forever.
-    global _memo_lock
-    _memo_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_memo_lock)
 
 
 def _memoized(key: tuple, stage: str, build):

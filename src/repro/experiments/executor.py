@@ -38,6 +38,7 @@ name through ``execution.executor`` and the CLI through ``--executor``.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import threading
 import time
@@ -453,7 +454,7 @@ class BreakerExecutor:
 
 
 def kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill ``pool``'s children, then shut it down without waiting.
+    """Kill ``pool``'s children, then shut it down and join its threads.
 
     Hung children never drain the call queue, so a polite shutdown would
     block forever: kill them first (private attr, guarded).
@@ -465,18 +466,22 @@ def kill_pool(pool: ProcessPoolExecutor) -> None:
                 process.kill()
             except Exception:  # pragma: no cover - already-dead race
                 pass
-    pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 # Seconds a lane waits on its child between deadline and abandon checks.
 _LANE_SLICE = 0.25
 
-# Lane children are forked under this one lock.  A ProcessPoolExecutor
-# forks its child inside submit(), so two lanes can fork at once, and a
-# child forked while a sibling lane's fork is under way inherits the
-# write end of that sibling child's death-notice pipe: the sibling's pool
-# then never sees its child die, and its lane waits forever.
-_FORK_LOCK = threading.Lock()
+
+def _lane_context():
+    """The one start method of lane children: a fork server, configured
+    when a lane first builds its pool, that has imported the simulation
+    stack.  Each child forks from that single-threaded server and
+    inherits none of the caller's runtime state; like a ``spawn`` child,
+    it imports a main module run from a path itself."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.experiments.batch"])
+    return context
 
 
 class Lane:
@@ -484,10 +489,11 @@ class Lane:
 
     A lane is an ``attempt_runner`` for
     :func:`~repro.experiments.parallel.run_job_outcome`, which keeps the
-    retry loop, failure classification and backoff.  Each call submits
-    one attempt (:func:`~repro.experiments.parallel._pool_attempt`) to a
-    one-process :class:`~concurrent.futures.ProcessPoolExecutor` and
-    waits for it in 0.25 s slices:
+    retry loop, failure classification and backoff.  Each call decides
+    the attempt's fault here and submits both
+    (:func:`~repro.experiments.parallel._pool_attempt`) to a one-process
+    :class:`~concurrent.futures.ProcessPoolExecutor` (:func:`_lane_context`)
+    and waits for it in 0.25 s slices:
 
     * past ``timeout`` seconds it kills the child and raises
       :class:`TimeoutError` (``timeout``, retryable);
@@ -522,17 +528,17 @@ class Lane:
         self._pool: ProcessPoolExecutor | None = None
 
     def __call__(self, job: "RunJob", attempt: int) -> "SimulationResult":
-        from repro.experiments.parallel import _pool_attempt, _run_attempt
+        from repro.experiments.parallel import _chaos_action, _pool_attempt, _run_attempt
 
+        fault = _chaos_action(job, attempt)
         if self._deaths > self.max_respawns:
-            return _run_attempt(job, attempt, self.tracer)
+            return _run_attempt(job, attempt, self.tracer, fault)
         try:
-            with _FORK_LOCK:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=1)
-                future = self._pool.submit(
-                    _pool_attempt, (job, attempt, self.tracer is not None)
-                )
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=1, mp_context=_lane_context())
+            future = self._pool.submit(
+                _pool_attempt, (job, attempt, self.tracer is not None, fault)
+            )
             deadline = None if self.timeout is None else time.monotonic() + self.timeout
             while True:
                 left = _LANE_SLICE if deadline is None else deadline - time.monotonic()

@@ -32,8 +32,8 @@ clean ``KeyboardInterrupt`` shutdown.  Every job yields a typed
 :class:`~repro.experiments.outcomes.JobOutcome`, so sweeps keep going
 past individual failures.  Fault injection
 (:mod:`repro.testing.chaos`) hooks in here: :func:`chaos_active` says
-whether it is on, and every attempt consults the schedule before it
-runs.
+whether it is on, and the retry loop decides each attempt's fault before
+the attempt runs, in-process or in a lane child.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationRes
 # Fault injection plumbing (zero-cost unless activated)
 # ---------------------------------------------------------------------------
 
-# In-process hook installed by repro.testing.chaos.install(); lane children
-# are reached through the REPRO_CHAOS environment variable instead.
+# Set by repro.testing.chaos.install(); it and REPRO_CHAOS are read only by
+# the process that runs the retry loop, never by a lane child.
 _chaos_hook: "Callable[[RunJob, int], str | None] | None" = None
 
 
@@ -254,19 +254,6 @@ def _chaos_action(job: RunJob, attempt: int) -> "tuple[str | None, ChaosConfig |
     return schedule(job, attempt), config
 
 
-def _apply_chaos(job: RunJob, attempt: int) -> bool:
-    """Run any scheduled pre-run fault; True means garble the result."""
-    action, config = _chaos_action(job, attempt)
-    if action is None:
-        return False
-    if action == "garbage":
-        return True
-    from repro.testing import chaos
-
-    chaos.perform(action, config)
-    return False
-
-
 def _validate_result(job: RunJob, result: object) -> SimulationResult:
     """Reject a malformed worker return (``garbage`` failure, retryable)."""
     if not isinstance(result, SimulationResult):
@@ -283,26 +270,29 @@ def _validate_result(job: RunJob, result: object) -> SimulationResult:
 
 
 def _run_attempt(
-    job: RunJob, attempt: int, tracer: "Tracer | None" = None
+    job: RunJob, attempt: int, tracer: "Tracer | None", fault: tuple
 ) -> SimulationResult:
-    """One attempt, with chaos applied around the deterministic run."""
-    garble = _apply_chaos(job, attempt)
+    """One attempt, with its decided ``(action, config)`` fault applied."""
+    action, config = fault
+    if action is not None:
+        from repro.testing import chaos
+
+        chaos.perform(action, config)
     result = execute_job(job, tracer=tracer)
-    if garble:
+    if action == "garbage":
         result.cycles = -abs(result.cycles)
     return _validate_result(job, result)
 
 
 def _pool_attempt(payload: tuple) -> tuple[SimulationResult, list[tuple] | None]:
-    """Lane-child entry: ``(job, attempt, traced)`` -> (result, spans)."""
-    job, attempt, traced = payload
+    """Lane-child entry: ``(job, attempt, traced, fault)`` -> (result, spans)."""
+    job, attempt, traced, fault = payload
     if not traced:
-        return _run_attempt(job, attempt), None
+        return _run_attempt(job, attempt, None, fault), None
     from repro.telemetry.tracing import Tracer
 
     tracer = Tracer()
-    result = _run_attempt(job, attempt, tracer=tracer)
-    return result, tracer.export()
+    return _run_attempt(job, attempt, tracer, fault), tracer.export()
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,7 @@ def run_job_outcome(
             if attempt_runner is not None:
                 result = attempt_runner(job, attempt)
             else:
-                result = _run_attempt(job, attempt, tracer)
+                result = _run_attempt(job, attempt, tracer, _chaos_action(job, attempt))
         except ExecutionInterrupted:
             raise
         except Exception as exc:

@@ -5,16 +5,16 @@ misbehave *on purpose* -- crash the worker process, hang, raise, or
 return a garbled result -- on chosen attempts of chosen jobs, and can
 corrupt persistent-cache bytes on demand.  The chaos test suite uses it
 to prove every recovery path in the executor; it is shipped inside the
-package (not ``tests/``) because pool workers must be able to import it.
+package (not ``tests/``) because lane children must be able to import it.
 
-Two activation routes:
+Two activation routes, read only by the process that runs the retry loop,
+which sends each attempt's decided fault with it to a lane child:
 
 * **monkeypatch / in-process**: :func:`install` a :class:`ChaosConfig`
-  (or any ``(job, attempt) -> action`` callable) -- serial execution and
-  the current process only;
+  (or any ``(job, attempt) -> action`` callable);
 * **environment**: set ``REPRO_CHAOS`` to the config's JSON (or
-  ``@/path/to/config.json``) -- worker processes inherit the variable,
-  so faults fire inside the pool.
+  ``@/path/to/config.json``) -- the route into another process with its
+  own retry loop (``repro worker``, a CLI subprocess).
 
 Fault decisions are **deterministic**: a rate-based fault fires iff
 ``sha256(seed, job_key, attempt)`` lands under the rate, so the same
@@ -229,8 +229,9 @@ def install(hook: "ChaosConfig | Callable[[RunJob, int], str | None]") -> None:
     """Activate ``hook`` for in-process execution (monkeypatch route).
 
     ``hook`` is a :class:`ChaosConfig` or any callable mapping
-    ``(job, attempt)`` to an action name (or ``None``).  Only the current
-    process is affected; use ``REPRO_CHAOS`` to reach pool workers.
+    ``(job, attempt)`` to an action name (or ``None``).  It is consulted
+    in this process, also for attempts that run in its lanes' children;
+    use ``REPRO_CHAOS`` to reach another process's retry loop.
     """
     from repro.experiments import parallel
 
@@ -264,8 +265,8 @@ def env_config() -> ChaosConfig | None:
 def perform(action: str, config: "ChaosConfig | None" = None) -> None:
     """Carry out a pre-run fault action (``garbage`` is applied post-run).
 
-    ``crash`` kills the current process abruptly when it is a pool
-    worker (its parent sees ``BrokenProcessPool``); in a main process it
+    ``crash`` kills the current process abruptly when it is a lane
+    child (its parent sees ``BrokenProcessPool``); in a main process it
     raises :class:`ChaosError` instead, so serial chaos runs exercise the
     retry path without taking the host down.
     """

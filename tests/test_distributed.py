@@ -12,6 +12,7 @@ the sweep manifest to prove it.
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
 import signal
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +40,12 @@ from repro.distwork.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.distwork.worker import execute_leased_job, run_supervisor, run_worker
+from repro.distwork.worker import (
+    _Connection,
+    execute_leased_job,
+    run_supervisor,
+    run_worker,
+)
 from repro.experiments.cache import RunCache, job_key
 from repro.experiments.distributed import DistributedExecutor
 from repro.experiments.harness import Workbench
@@ -786,6 +793,77 @@ class TestStopPolling:
             )
         assert len(delivered) == 2
         assert transport.cancelled
+
+
+_CLOSING_COORDINATOR = """
+import sys
+
+from repro.distwork.coordinator import TcpCoordinator
+
+coordinator = TcpCoordinator("127.0.0.1", 0)
+print(coordinator.address[1], flush=True)
+sys.stdin.readline()
+coordinator.close()
+"""
+
+
+class TestStopReachesWorkers:
+    def test_an_idle_worker_hears_stop_from_a_coordinator_that_exits(self):
+        # The coordinator's process exits as soon as close() returns, so
+        # close() must wait for the worker's next poll to tell it to stop;
+        # otherwise the worker finds the port gone and waits out its
+        # reconnect window.
+        stop = threading.Event()
+        returned: list[float] = []
+
+        def serve(port: int) -> None:
+            run_worker(
+                f"127.0.0.1:{port}", poll=2.0, reconnect_window=8.0, stop_event=stop
+            )
+            returned.append(time.monotonic())
+
+        with subprocess.Popen(
+            [sys.executable, "-c", _CLOSING_COORDINATOR],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                thread = threading.Thread(
+                    target=serve, args=(int(proc.stdout.readline()),), daemon=True
+                )
+                thread.start()
+                time.sleep(0.5)  # connected, polled once, now idle until ~2 s
+                closed = time.monotonic()
+                proc.stdin.write("close\n")
+                proc.stdin.flush()
+                thread.join(timeout=15)
+                assert returned, "the worker never returned"
+                assert returned[0] - closed < 4.0  # its next poll, not the window
+                assert proc.wait(timeout=10) == 0
+            finally:
+                stop.set()
+                if proc.poll() is None:
+                    proc.kill()
+
+    def test_a_failed_handshake_closes_the_socket(self):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+
+            def accept_and_hang_up() -> None:
+                conn, _ = server.accept()
+                conn.close()
+
+            peer = threading.Thread(target=accept_and_hang_up, daemon=True)
+            peer.start()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises((OSError, ProtocolError)):
+                    _Connection(server.getsockname()[:2], "w")
+                gc.collect()
+            peer.join(timeout=5)
+        assert not peer.is_alive()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestSeededCli:

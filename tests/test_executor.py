@@ -8,7 +8,11 @@ names and endpoints up front.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -39,9 +43,10 @@ from repro.experiments.parallel import execute_job
 from repro.experiments.sweep import run_spec
 from repro.specs import ExperimentSpec, MachineSpec, SpecError, SweepSpec, spec_hash
 from repro.telemetry.tracing import Tracer
-from repro.testing.chaos import ChaosConfig, FaultRule
+from repro.testing.chaos import ChaosConfig, FaultRule, install, uninstall
 from repro.workloads.suite import get_kernel
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
 INSTRUCTIONS = 400
 KERNELS = ("gcc", "mcf")
 
@@ -151,7 +156,7 @@ def pool_log(monkeypatch):
             super().__init__(*args, **kwargs)
 
         def submit(self, fn, payload):
-            log.jobs.append(payload[0])  # _pool_attempt's (job, attempt, traced)
+            log.jobs.append(payload[0])  # _pool_attempt's (job, attempt, traced, fault)
             return super().submit(fn, payload)
 
     monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
@@ -291,34 +296,15 @@ class TestLanes:
         for job, outcome in zip(jobs, outcomes):
             assert results_identical(outcome.unwrap(), execute_job(job))
 
-    def test_lane_children_are_never_forked_at_the_same_time(self, monkeypatch):
-        from multiprocessing import popen_fork
-
-        launch = popen_fork.Popen._launch
-        lock = threading.Lock()
-        forks = SimpleNamespace(live=0, peak=0)
-
-        def slow_launch(self, process_obj):
-            with lock:
-                forks.live += 1
-                forks.peak = max(forks.peak, forks.live)
-            try:
-                time.sleep(0.05)  # widen the window two forks could share
-                return launch(self, process_obj)
-            finally:
-                with lock:
-                    forks.live -= 1
-
-        monkeypatch.setattr(popen_fork.Popen, "_launch", slow_launch)
-        # Every first attempt kills its child, so each lane forks again
-        # from its own thread while the others are forking too.
+    def test_lanes_whose_children_die_together_each_respawn(self, monkeypatch):
+        # Every first attempt kills its child, so each lane starts a new
+        # one from its own thread while the others are starting theirs.
         set_chaos(monkeypatch, FaultRule(mode="crash", attempts=(1,)))
         jobs = readiness_jobs(make_bench(), clusters=(2, 4))
         stats = OutcomeStats()
         outcomes = LocalPoolExecutor(workers=len(jobs)).execute(jobs, stats=stats)
         assert [(outcome.ok, outcome.attempts) for outcome in outcomes] == [(True, 2)] * 4
         assert stats.pool_respawns == len(jobs)
-        assert forks.peak == 1
 
     @pytest.mark.parametrize("stop_by", ["fail_fast", "should_stop"])
     def test_lanes_still_running_are_torn_down(self, monkeypatch, stop_by):
@@ -349,6 +335,98 @@ class TestLanes:
         while set(multiprocessing.active_children()) - before:
             assert time.monotonic() < deadline, "a lane child outlived the sweep"
             time.sleep(0.05)
+
+    def test_no_pool_thread_outlives_execute(self):
+        jobs = readiness_jobs(make_bench())
+        before = set(threading.enumerate())
+        outcomes = LocalPoolExecutor(workers=2).execute(jobs)
+        assert all(outcome.ok for outcome in outcomes)
+        assert set(threading.enumerate()) <= before
+
+    def test_a_fault_scheduled_after_lanes_started_still_fires(self, monkeypatch):
+        # The first sweep starts the lane children's server fault-free, so
+        # nothing it holds can carry the schedule set afterwards.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        jobs = readiness_jobs(make_bench())
+        assert all(outcome.ok for outcome in LocalPoolExecutor(workers=2).execute(jobs))
+        set_chaos(monkeypatch, FaultRule(mode="crash", match={"kernel": "gcc"}, attempts=(1,)))
+        stats = OutcomeStats()
+        outcomes = LocalPoolExecutor(workers=2).execute(jobs, stats=stats)
+        assert [(outcome.ok, outcome.attempts) for outcome in outcomes] == [(True, 2), (True, 1)]
+        assert stats.pool_respawns == 1
+
+    def test_an_installed_lambda_fires_in_a_lane_child(self, monkeypatch):
+        # A lambda does not pickle; the lane sends the fault it decided.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        install(lambda job, attempt: "crash" if (job.kernel, attempt) == ("gcc", 1) else None)
+        stats = OutcomeStats()
+        try:
+            outcomes = LocalPoolExecutor(workers=2).execute(
+                readiness_jobs(make_bench()), stats=stats
+            )
+        finally:
+            uninstall()
+        # In-process the crash would raise instead (an "injected" failure).
+        assert [(outcome.ok, outcome.attempts) for outcome in outcomes] == [(True, 2), (True, 1)]
+        assert stats.pool_respawns == 1
+
+
+class TestLanesOnSpawn(TestLanes):
+    """The same lane contract with children started by ``spawn``."""
+
+    @pytest.fixture(autouse=True)
+    def _spawned_lane_children(self, monkeypatch):
+        from repro.experiments import executor
+
+        monkeypatch.setattr(
+            executor, "_lane_context", lambda: multiprocessing.get_context("spawn")
+        )
+
+
+_REGISTERING_SCRIPT = """
+import json
+
+from repro.api import (
+    LocalPoolExecutor, Tracer, Workbench, get_kernel, register_steering, resolve_policy,
+)
+from repro.core.steering.simple import ModuloSteering
+
+
+@register_steering("lane_modulo")
+def build_lane_modulo(stride: int = 1):
+    return ModuloSteering()
+
+
+if __name__ == "__main__":
+    bench = Workbench(instructions=300)
+    policy = resolve_policy({"steering": "lane_modulo", "scheduler": "oldest"})
+    jobs = [bench.job(get_kernel(k), bench.clustered(2), policy) for k in ("gcc", "mcf")]
+    tracer = Tracer()
+    laned = LocalPoolExecutor(workers=2).execute(jobs, tracer=tracer)
+    serial = LocalPoolExecutor(workers=0).execute(jobs)
+    print(json.dumps({
+        "laned": [outcome.unwrap().cycles for outcome in laned],
+        "serial": [outcome.unwrap().cycles for outcome in serial],
+        "child_spans": sum(1 for span in tracer.spans if span.meta.get("worker")),
+    }))
+"""
+
+
+def test_a_kind_registered_at_module_level_runs_on_lanes(tmp_path):
+    script = tmp_path / "sweep.py"
+    script.write_text(_REGISTERING_SCRIPT)
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["child_spans"] > 0  # the laned jobs ran in lane children
+    assert report["laned"] == report["serial"]
 
 
 class TestSpecExecutorField:
