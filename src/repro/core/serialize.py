@@ -13,22 +13,23 @@ the test suite, and ``result_from_dict(result_to_dict(r))`` reproduces a
 result whose every derived statistic (CPI, breakdowns, event
 classifications) matches the original exactly.
 
-Cross-record references (``InFlight.waiters``) are serialized as trace
-indices and re-linked on load, so the reconstructed record graph has the
-same shape as the live one.
+``records`` is packed as columns: one list per field, in trace order, so
+each field name appears once per result instead of once per record.
+Enums are stored by name.  Cross-record references (``InFlight.waiters``)
+are stored as trace indices and re-linked on load, so the reconstructed
+record graph has the same shape as the live one.
 
 Telemetry payloads (``SimulationResult.telemetry``) are optional and
-round-trip losslessly, but are deliberately **absent** from the dict when
-unset -- a telemetry-off result serializes byte-identically to the
-pre-telemetry schema, so existing cache entries stay valid and
-``CACHE_SCHEMA_VERSION`` did not need to move.  ``results_identical``
-compares *simulation* output and ignores telemetry (an observational
-payload that legitimately differs between the event and reference
-simulators, which sample live state differently).
+round-trip losslessly, but are **absent** from the dict when unset.
+``results_identical`` compares *simulation* output and ignores telemetry
+(an observational payload that legitimately differs between the event
+and reference simulators, which sample live state differently).
 """
 
 from __future__ import annotations
 
+from itertools import starmap
+from operator import attrgetter
 from typing import Any
 
 from repro.core.config import ClusterConfig, MachineConfig
@@ -65,10 +66,6 @@ def _cluster_to_dict(cluster: ClusterConfig) -> dict[str, Any]:
             name: cycles for name, cycles in cluster.latency_overrides
         }
     return payload
-
-
-def _cluster_from_dict(data: dict[str, Any]) -> ClusterConfig:
-    return ClusterConfig(**data)
 
 
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
@@ -112,9 +109,9 @@ def config_from_dict(data: dict[str, Any]) -> MachineConfig:
     """Inverse of :func:`config_to_dict` (accepts both cluster spellings)."""
     memory = data["memory"]
     if "clusters" in data:
-        clusters = tuple(_cluster_from_dict(c) for c in data["clusters"])
+        clusters = tuple(ClusterConfig(**c) for c in data["clusters"])
     else:
-        clusters = (_cluster_from_dict(data["cluster"]),) * data["num_clusters"]
+        clusters = (ClusterConfig(**data["cluster"]),) * data["num_clusters"]
     return MachineConfig(
         clusters=clusters,
         rob_size=data["rob_size"],
@@ -142,104 +139,76 @@ def _cache_config_to_dict(cache: CacheConfig) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction records
+# Per-instruction records, as packed columns
 # ---------------------------------------------------------------------------
 
-
-def _instr_to_dict(instr: DynamicInstruction) -> dict[str, Any]:
-    return {
-        "index": instr.index,
-        "pc": instr.pc,
-        "opcode": instr.opcode,
-        "opclass": instr.opclass.name,
-        "dest": instr.dest,
-        "srcs": list(instr.srcs),
-        "is_branch": instr.is_branch,
-        "is_conditional_branch": instr.is_conditional_branch,
-        "taken": instr.taken,
-        "next_pc": instr.next_pc,
-        "mem_addr": instr.mem_addr,
-    }
-
-
-def _instr_from_dict(data: dict[str, Any]) -> DynamicInstruction:
-    return DynamicInstruction(
-        index=data["index"],
-        pc=data["pc"],
-        opcode=data["opcode"],
-        opclass=OpClass[data["opclass"]],
-        dest=data["dest"],
-        srcs=tuple(data["srcs"]),
-        is_branch=data["is_branch"],
-        is_conditional_branch=data["is_conditional_branch"],
-        taken=data["taken"],
-        next_pc=data["next_pc"],
-        mem_addr=data["mem_addr"],
-    )
+# DynamicInstruction's fields in constructor order (``opclass`` is stored
+# by name, ``srcs`` as a list).
+_INSTR_FIELDS = DynamicInstruction.__match_args__
+# InFlight fields holding an enum member, stored by name (name -> member).
+_ENUM_FIELDS = {
+    "dispatch_reason": DispatchReason.__members__,
+    "steer_cause": SteerCause.__members__,
+    "commit_reason": CommitReason.__members__,
+}
+# Every other InFlight slot holds a JSON scalar and is stored as it is,
+# except the instruction, its dependences and trace index (the columns
+# above) and the cross-record fields converted below.
+_PLAIN_FIELDS = tuple(
+    name
+    for name in InFlight.__slots__
+    if name not in _ENUM_FIELDS
+    and name not in ("instr", "deps", "index", "waiters", "forwarded_to_clusters")
+)
 
 
-def record_to_dict(record: InFlight) -> dict[str, Any]:
-    """One :class:`InFlight` as JSON types; ``waiters`` become indices."""
-    return {
-        "instr": _instr_to_dict(record.instr),
-        "deps": {
-            "reg_deps": list(record.deps.reg_deps),
-            "mem_dep": record.deps.mem_dep,
-        },
-        "cluster": record.cluster,
-        "dispatch_time": record.dispatch_time,
-        "ready_time": record.ready_time,
-        "issue_time": record.issue_time,
-        "complete_time": record.complete_time,
-        "commit_time": record.commit_time,
-        "pending_deps": record.pending_deps,
-        "operand_avail": record.operand_avail,
-        "last_arriving_producer": record.last_arriving_producer,
-        "critical_operand_forwarded": record.critical_operand_forwarded,
-        "mem_latency_extra": record.mem_latency_extra,
-        "latency": record.latency,
-        "predicted_critical": record.predicted_critical,
-        "loc": record.loc,
-        "dispatch_reason": record.dispatch_reason.name,
-        "dispatch_pred": record.dispatch_pred,
-        "steer_cause": record.steer_cause.name,
-        "commit_reason": record.commit_reason.name,
-        "waiters": [w.index for w in record.waiters],
-        # JSON object keys are strings; cluster ids convert back on load.
-        "forwarded_to_clusters": {
-            str(c): t for c, t in record.forwarded_to_clusters.items()
-        },
-    }
+def _records_to_columns(records: list[InFlight]) -> dict[str, list[Any]]:
+    """One list per field, in trace order; ``waiters`` become indices."""
+    instrs = [record.instr for record in records]
+    columns = {name: list(map(attrgetter(name), instrs)) for name in _INSTR_FIELDS}
+    columns["opclass"] = [opclass.name for opclass in columns["opclass"]]
+    columns["srcs"] = list(map(list, columns["srcs"]))
+    columns["reg_deps"] = [list(record.deps.reg_deps) for record in records]
+    columns["mem_dep"] = [record.deps.mem_dep for record in records]
+    for name in _PLAIN_FIELDS:
+        columns[name] = list(map(attrgetter(name), records))
+    for name in _ENUM_FIELDS:
+        columns[name] = list(map(attrgetter(f"{name}.name"), records))
+    columns["waiters"] = [[w.index for w in record.waiters] for record in records]
+    # [cluster, arrival] pairs: JSON object keys would be strings.
+    columns["forwarded_to_clusters"] = [
+        list(map(list, record.forwarded_to_clusters.items())) for record in records
+    ]
+    return columns
 
 
-def _record_from_dict(data: dict[str, Any]) -> InFlight:
-    """Rebuild one record; ``waiters`` are linked by the caller."""
-    deps = Dependences(
-        reg_deps=tuple(data["deps"]["reg_deps"]), mem_dep=data["deps"]["mem_dep"]
-    )
-    record = InFlight(_instr_from_dict(data["instr"]), deps)
-    record.cluster = data["cluster"]
-    record.dispatch_time = data["dispatch_time"]
-    record.ready_time = data["ready_time"]
-    record.issue_time = data["issue_time"]
-    record.complete_time = data["complete_time"]
-    record.commit_time = data["commit_time"]
-    record.pending_deps = data["pending_deps"]
-    record.operand_avail = data["operand_avail"]
-    record.last_arriving_producer = data["last_arriving_producer"]
-    record.critical_operand_forwarded = data["critical_operand_forwarded"]
-    record.mem_latency_extra = data["mem_latency_extra"]
-    record.latency = data["latency"]
-    record.predicted_critical = data["predicted_critical"]
-    record.loc = data["loc"]
-    record.dispatch_reason = DispatchReason[data["dispatch_reason"]]
-    record.dispatch_pred = data["dispatch_pred"]
-    record.steer_cause = SteerCause[data["steer_cause"]]
-    record.commit_reason = CommitReason[data["commit_reason"]]
-    record.forwarded_to_clusters = {
-        int(c): t for c, t in data["forwarded_to_clusters"].items()
-    }
-    return record
+def _records_from_columns(columns: dict[str, list[Any]]) -> list[InFlight]:
+    """Inverse of :func:`_records_to_columns`, re-linking ``waiters``.
+
+    Every column is zipped with ``strict=True``, so a damaged entry whose
+    columns differ in length raises instead of loading short.
+    """
+    instr_columns = {name: columns[name] for name in _INSTR_FIELDS}
+    instr_columns["opclass"] = [OpClass[name] for name in columns["opclass"]]
+    instr_columns["srcs"] = map(tuple, columns["srcs"])
+    instrs = starmap(DynamicInstruction, zip(*instr_columns.values(), strict=True))
+    deps = zip(map(tuple, columns["reg_deps"]), columns["mem_dep"], strict=True)
+    records = [
+        InFlight(instr, Dependences(*dep)) for instr, dep in zip(instrs, deps, strict=True)
+    ]
+    for name in _PLAIN_FIELDS:
+        for record, value in zip(records, columns[name], strict=True):
+            setattr(record, name, value)
+    for name, members in _ENUM_FIELDS.items():
+        for record, member in zip(records, columns[name], strict=True):
+            setattr(record, name, members[member])
+    by_index = {record.index: record for record in records}
+    for record, waiters, forwarded in zip(
+        records, columns["waiters"], columns["forwarded_to_clusters"], strict=True
+    ):
+        record.waiters = [by_index[i] for i in waiters]
+        record.forwarded_to_clusters = dict(forwarded)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +225,7 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     ilp = result.ilp_profile
     data = {
         "config": config_to_dict(result.config),
-        "records": [record_to_dict(r) for r in result.records],
+        "records": _records_to_columns(result.records),
         "cycles": result.cycles,
         "mispredicted": sorted(result.mispredicted),
         "global_values": result.global_values,
@@ -280,10 +249,7 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
 
 def result_from_dict(data: dict[str, Any]) -> SimulationResult:
     """Inverse of :func:`result_to_dict`, re-linking consumer references."""
-    records = [_record_from_dict(r) for r in data["records"]]
-    by_index = {record.index: record for record in records}
-    for record, raw in zip(records, data["records"]):
-        record.waiters = [by_index[i] for i in raw["waiters"]]
+    records = _records_from_columns(data["records"])
     ilp = None
     if data["ilp_profile"] is not None:
         ilp = IlpProfile(

@@ -185,6 +185,11 @@ class _TcpHandler(socketserver.BaseRequestHandler):
                 op = message.get("op")
                 worker = str(message.get("worker", worker))
                 if op == "hello":
+                    if message.get("version") != PROTOCOL_VERSION:
+                        # Its results would not decode here; the other
+                        # connections are served on.
+                        send_frame(self.request, {"op": "refused", "version": PROTOCOL_VERSION})
+                        break
                     send_frame(
                         self.request,
                         {

@@ -13,8 +13,10 @@ Messages (coordinator <-> worker)
 ---------------------------------
 Worker-initiated, one request/response pair per frame exchange::
 
-    {"op": "hello", "worker": id, "version": 1}
-        -> {"op": "welcome", "version": 1, "heartbeat": seconds}
+    {"op": "hello", "worker": id, "version": 2}
+        -> {"op": "welcome", "version": 2, "heartbeat": seconds}
+         | {"op": "refused", "version": 2}     # another version: the
+                                               # connection is closed
     {"op": "next", "worker": id}
         -> {"op": "task", "id": tid, "job": {...}, "policy": {...},
             "attempt": n}                      # lease granted
@@ -26,6 +28,11 @@ Worker-initiated, one request/response pair per frame exchange::
                                                # settled: abandon the run
     {"op": "done", "worker": id, "id": tid, "outcome": {...}}
         -> {"op": "ok"}
+
+Both sides check :data:`PROTOCOL_VERSION`: the coordinator refuses another
+version and serves its other workers on, and a worker not welcomed with its
+own version raises :class:`VersionMismatch` instead of reconnecting.
+Version 2 results carry packed record columns; version 1 sent one dict per record.
 
 ``attempt`` is the number of attempts already charged to the task by
 earlier (dead) leases; the worker's in-process retry loop continues
@@ -64,6 +71,7 @@ __all__ = [
     "MAX_FRAME",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "VersionMismatch",
     "job_from_dict",
     "job_to_dict",
     "outcome_from_dict",
@@ -75,17 +83,21 @@ __all__ = [
     "send_frame",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 
-# A 12k-instruction result is a few MB of JSON; half a GiB of headroom
+# A 12k-instruction result is about 2 MB of JSON; half a GiB of headroom
 # distinguishes "big result" from "garbled length prefix".
 MAX_FRAME = 1 << 29
 
 
 class ProtocolError(RuntimeError):
     """The peer sent something the wire format forbids."""
+
+
+class VersionMismatch(RuntimeError):
+    """The peer speaks another protocol version; reconnecting cannot help."""
 
 
 # ---------------------------------------------------------------------------

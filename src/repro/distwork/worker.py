@@ -49,6 +49,7 @@ from typing import Any, Callable
 from repro.distwork.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
     job_from_dict,
     outcome_to_dict,
     parse_endpoint,
@@ -124,8 +125,11 @@ class _Connection:
         self.worker_id = worker_id
         try:
             reply = self.exchange({"op": "hello", "version": PROTOCOL_VERSION})
-            if reply.get("op") != "welcome":
-                raise ProtocolError(f"expected welcome, got {reply.get('op')!r}")
+            if reply.get("op") != "welcome" or reply.get("version") != PROTOCOL_VERSION:
+                raise VersionMismatch(
+                    f"coordinator speaks protocol version {reply.get('version')!r}, "
+                    f"this worker speaks version {PROTOCOL_VERSION}"
+                )
         except BaseException:
             self.close()
             raise
@@ -163,7 +167,8 @@ def run_worker(
     pass with nothing to do, when ``stop_event`` is set (in-process
     embedding, used by tests), or when the coordinator stays unreachable
     for ``reconnect_window`` seconds.  A malformed ``endpoint`` raises
-    :class:`ValueError` before anything connects.
+    :class:`ValueError` before anything connects; a coordinator of another
+    protocol version raises :class:`~repro.distwork.protocol.VersionMismatch`.
     """
     address = parse_endpoint(endpoint)
     if worker_id is None:
@@ -459,13 +464,17 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.supervise:
         return _supervise_main(args)
     cache = None if args.no_cache else RunCache(args.cache_dir)
-    executed = run_worker(
-        args.endpoint,
-        cache=cache,
-        worker_id=args.id,
-        poll=args.poll,
-        idle_timeout=args.idle_timeout,
-        reconnect_window=args.reconnect_window,
-    )
+    try:
+        executed = run_worker(
+            args.endpoint,
+            cache=cache,
+            worker_id=args.id,
+            poll=args.poll,
+            idle_timeout=args.idle_timeout,
+            reconnect_window=args.reconnect_window,
+        )
+    except VersionMismatch as exc:
+        print(f"repro worker: {exc}", file=sys.stderr)
+        return 1
     print(f"worker done: {executed} job(s) executed")
     return 0

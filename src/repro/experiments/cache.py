@@ -36,11 +36,12 @@ import os
 import pathlib
 import time
 import warnings
+import zlib
 from typing import TYPE_CHECKING
 
 from repro.core.results import SimulationResult
 from repro.core.serialize import config_to_dict, result_from_dict, result_to_dict
-from repro.experiments.journal import temp_path
+from repro.experiments.journal import atomic_write
 from repro.specs.policy import policy_label, resolve_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness -> parallel)
@@ -65,7 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness -> parallel)
 #    backend's per-entry warm-up.  The ``sim`` field already keys the
 #    hash, but the version moves anyway so the *figure-level* outputs
 #    (goldens regenerated with this bump) and the cache retire together.
-CACHE_SCHEMA_VERSION = 4
+# 5: ``result_to_dict`` packs ``records`` as one column per field instead
+#    of one dict per record, which v4 readers cannot decode.  Simulation
+#    output is unchanged; only the key's salt moves.
+CACHE_SCHEMA_VERSION = 5
+
+# Level 9 would save 2% of a 12 000-instruction entry for 3x the time.
+GZIP_LEVEL = 6
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -147,8 +154,7 @@ class RunCache:
     def _load(self, job: RunJob) -> SimulationResult | None:
         path = self.path_for(job_key(job))
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = json.loads(gzip.decompress(path.read_bytes()))
             if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
                 # Stale schema under a current key should be impossible
                 # (the version salts the key) -- treat a mismatch as
@@ -161,7 +167,7 @@ class RunCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, EOFError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, EOFError, TypeError, zlib.error) as exc:
             # Corrupt, truncated or schema-stale entry: quarantine it so
             # the damage is inspectable, report a miss, and let the fresh
             # recomputation overwrite it.  Never propagate.
@@ -219,18 +225,12 @@ class RunCache:
             },
             "result": result_to_dict(result),
         }
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         # Private sibling + atomic rename: a worker killed mid-write
         # leaves at worst an orphaned ``.tmp-<pid>-<thread>`` file (skipped
         # by lookups), never a truncated entry under a real key, and two
         # threads storing one key never share a temp file.
-        tmp = temp_path(path)
-        try:
-            with gzip.open(tmp, "wt", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write(path, gzip.compress(data, compresslevel=GZIP_LEVEL))
         self.stores += 1
 
     # ------------------------------------------------------------------

@@ -34,11 +34,11 @@ def temp_path(path: pathlib.Path | str) -> pathlib.Path:
     return path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_native_id()}")
 
 
-def atomic_write(path: pathlib.Path | str, text: str) -> None:
-    """Replace ``path`` with ``text`` atomically."""
+def atomic_write(path: pathlib.Path | str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically."""
     tmp = temp_path(path)
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -110,4 +110,4 @@ class Journal:
 
     def rewrite(self, entries: Iterable[dict[str, Any]]) -> None:
         """Atomically replace the file with exactly ``entries``."""
-        atomic_write(self.path, _lines(entries))
+        atomic_write(self.path, _lines(entries).encode("utf-8"))

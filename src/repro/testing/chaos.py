@@ -297,7 +297,9 @@ def perform(action: str, config: "ChaosConfig | None" = None) -> None:
 
 
 def corrupt_file(path: "str | pathlib.Path", mode: str = "truncate") -> None:
-    """Damage ``path`` in place: ``truncate`` to half, or ``garble`` bytes."""
+    """Damage ``path`` in place: ``truncate`` to half, ``garble`` the first
+    64 bytes, or, in a gzip file, set the first ``deflate`` byte to 0xFF
+    (a reserved block type), leaving the gzip header intact."""
     path = pathlib.Path(path)
     data = path.read_bytes()
     if mode == "truncate":
@@ -305,6 +307,11 @@ def corrupt_file(path: "str | pathlib.Path", mode: str = "truncate") -> None:
     elif mode == "garble":
         head = bytes((b ^ 0xA5) for b in data[:64])
         path.write_bytes(head + data[64:])
+    elif mode == "deflate":
+        # The fixed header is 10 bytes; the FNAME flag (0x08 in byte 3)
+        # adds a zero-terminated file name after it.
+        start = data.index(0, 10) + 1 if data[3] & 0x08 else 10
+        path.write_bytes(data[:start] + b"\xff" + data[start + 1 :])
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
 

@@ -8,6 +8,8 @@ cells for jobs that exhaust their retry budget, and resumes an
 interrupted sweep re-executing only its unfinished jobs.
 """
 
+import gzip
+import json
 import time
 
 import pytest
@@ -346,13 +348,14 @@ class TestPoolChaos:
 
 
 class TestCacheSelfHealing:
-    def test_corrupt_entry_quarantined_and_recomputed(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["garble", "truncate", "deflate"])
+    def test_corrupt_entry_quarantined_and_recomputed(self, tmp_path, mode):
         spec = get_kernel("gcc")
         cache = RunCache(tmp_path)
         first = Workbench(instructions=INSTRUCTIONS, benchmarks=[spec], cache=cache)
         original = first.run(spec, first.clustered(2), "l")
         victim = first.job(spec, first.clustered(2), "l")
-        path = corrupt_cache_entry(cache, victim, mode="garble")
+        path = corrupt_cache_entry(cache, victim, mode=mode)
 
         fresh_cache = RunCache(tmp_path)
         fresh = Workbench(
@@ -369,6 +372,30 @@ class TestCacheSelfHealing:
         healed = RunCache(tmp_path)
         assert healed.load(victim) is not None
         assert healed.quarantined == 0
+
+    @pytest.mark.parametrize("damage", ["short column", "waiter past the end"])
+    def test_damaged_columns_quarantined_never_loaded_short(self, tmp_path, damage):
+        """An entry that is valid gzip JSON but whose record columns are
+        inconsistent is a miss and is quarantined, never a shorter hit."""
+        spec = get_kernel("gcc")
+        cache = RunCache(tmp_path)
+        bench = Workbench(instructions=INSTRUCTIONS, benchmarks=[spec], cache=cache)
+        bench.run(spec, bench.clustered(2), "l")
+        job = bench.job(spec, bench.clustered(2), "l")
+        path = cache.path_for(job_key(job))
+        payload = json.loads(gzip.decompress(path.read_bytes()))
+        columns = payload["result"]["records"]
+        if damage == "short column":
+            columns["commit_time"].pop()
+        else:
+            columns["waiters"][0].append(max(columns["index"]) + 1)
+        path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+
+        fresh = RunCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert fresh.load(job) is None
+        assert fresh.stats() == {"hits": 0, "misses": 1, "stores": 0, "quarantined": 1}
+        assert path.with_name(path.name + ".corrupt").exists()
 
     def test_quarantine_warns_only_once_per_cache(self, tmp_path):
         import warnings as warnings_module

@@ -196,15 +196,23 @@ def run_batched_matched(
     )
 
 
+def _rows(columns):
+    """Packed record columns as one dict per record, in trace order."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def assert_bit_identical(event, reference, context: str):
     __tracebackhide__ = True
     if not results_identical(event, reference):
         want = result_to_dict(reference)
         got = result_to_dict(event)
-        for i, (w, g) in enumerate(zip(want["records"], got["records"])):
+        for w, g in zip(_rows(want["records"]), _rows(got["records"])):
             if w != g:
                 diff = {k: (w[k], g[k]) for k in w if w[k] != g[k]}
-                pytest.fail(f"{context}: first divergent record {i}: {diff}")
+                pytest.fail(
+                    f"{context}: first divergent record, trace index "
+                    f"{w['index']}: {diff}"
+                )
         top = {
             k: (want[k], got[k])
             for k in want

@@ -28,9 +28,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import results_identical
+from repro.distwork import coordinator as coordinator_module
 from repro.distwork.coordinator import TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
+    PROTOCOL_VERSION,
     ProtocolError,
+    VersionMismatch,
     job_from_dict,
     job_to_dict,
     outcome_to_dict,
@@ -43,6 +46,7 @@ from repro.distwork.protocol import (
 from repro.distwork.worker import (
     _Connection,
     execute_leased_job,
+    main as worker_main,
     run_supervisor,
     run_worker,
 )
@@ -200,6 +204,57 @@ class TestProtocol:
                 recv_frame(b)
         finally:
             b.close()
+
+    def test_hello_of_version_1_is_refused(self):
+        """A version 1 worker would send per-record results this side
+        cannot decode: it is refused and its connection closed, while a
+        worker of the current version is still welcome."""
+        coordinator = TcpCoordinator("127.0.0.1", 0)
+        try:
+            with socket.create_connection(coordinator.address, timeout=10.0) as old:
+                send_frame(old, {"op": "hello", "worker": "old", "version": 1})
+                assert recv_frame(old) == {"op": "refused", "version": PROTOCOL_VERSION}
+                assert recv_frame(old) is None
+            with socket.create_connection(coordinator.address, timeout=10.0) as new:
+                send_frame(
+                    new, {"op": "hello", "worker": "new", "version": PROTOCOL_VERSION}
+                )
+                assert recv_frame(new)["op"] == "welcome"
+        finally:
+            coordinator.close()
+
+    def test_worker_refused_by_coordinator_does_not_reconnect(self, monkeypatch):
+        monkeypatch.setattr(
+            coordinator_module, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1
+        )
+        coordinator = TcpCoordinator("127.0.0.1", 0)
+        host, port = coordinator.address
+        try:
+            start = time.monotonic()
+            with pytest.raises(VersionMismatch, match=f"version {PROTOCOL_VERSION + 1}"):
+                run_worker(f"{host}:{port}", reconnect_window=30.0)
+            assert time.monotonic() - start < 10.0
+        finally:
+            coordinator.close()
+
+    def test_worker_cli_exits_nonzero_on_a_version_1_welcome(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+
+            def welcome_as_version_1() -> None:
+                conn, _ = server.accept()
+                with conn:
+                    recv_frame(conn)
+                    send_frame(conn, {"op": "welcome", "version": 1, "heartbeat": 1.0})
+
+            peer = threading.Thread(target=welcome_as_version_1, daemon=True)
+            peer.start()
+            host, port = server.getsockname()[:2]
+            argv = [f"{host}:{port}", "--no-cache", "--reconnect-window", "30"]
+            assert worker_main(argv) == 1
+            peer.join(timeout=5)
+            assert not peer.is_alive()
+        err = capsys.readouterr().err
+        assert "version 1" in err and f"version {PROTOCOL_VERSION}" in err
 
 
 class TestTaskBoard:
@@ -378,7 +433,9 @@ class TestLostLease:
             )
             sock = socket.create_connection(coordinator.address, timeout=10.0)
             try:
-                send_frame(sock, {"op": "hello", "worker": "w1", "version": 1})
+                send_frame(
+                    sock, {"op": "hello", "worker": "w1", "version": PROTOCOL_VERSION}
+                )
                 assert recv_frame(sock)["op"] == "welcome"
                 send_frame(sock, {"op": "next", "worker": "w1"})
                 assert recv_frame(sock)["op"] == "task"
