@@ -27,8 +27,7 @@ def sweep(workbench) -> FigureData:
     )
     for spec in workbench.benchmarks:
         prepared = workbench.prepare(spec)
-        mono = workbench.run(spec, monolithic_machine(), "dependence")
-        latencies = [rec.latency for rec in mono.records]
+        latencies = workbench.run(spec, monolithic_machine(), "dependence").latencies
         base = list_schedule(
             prepared.trace,
             prepared.dependences,

@@ -30,6 +30,7 @@ from repro.api import (
     get_kernel,
     monolithic_machine,
     render_pipeline,
+    simulate,
     slack_histogram,
 )
 
@@ -39,7 +40,8 @@ def main() -> None:
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 8000
     kernel = get_kernel(name)
     bench = Workbench(instructions=instructions)
-    result = bench.run(kernel, monolithic_machine(), "focused")
+    # The full records, in this process (a workbench keeps summaries only).
+    result = simulate(bench.job(kernel, monolithic_machine(), "focused"))
 
     print(f"== {name}: {instructions} instructions, "
           f"{result.cycles} cycles, CPI {result.cpi:.3f} ==\n")

@@ -15,7 +15,6 @@ import sys
 from repro.api import (
     Workbench,
     clustered_machine,
-    cpi_breakdown,
     format_table,
     get_kernel,
     monolithic_machine,
@@ -39,7 +38,7 @@ def main() -> None:
         # 'l'+'s'(+'p' on 8x1w): the paper's best stack per configuration.
         policy = "p" if clusters == 8 else ("s" if clusters > 1 else "l")
         result = bench.run(kernel, config, policy)
-        breakdown = cpi_breakdown(result).normalized(baseline.cpi)
+        breakdown = result.breakdown.normalized(baseline.cpi)
         rows.append(
             [
                 config.name,

@@ -14,6 +14,7 @@ from repro.analysis.events import (
 from repro.analysis.ilp import efficiency_at, merge_profiles
 from repro.analysis.near_critical import NearCriticalProfile, near_critical_profile
 from repro.analysis.pipeview import contention_hotspots, render_pipeline
+from repro.analysis.summary import summarize
 
 __all__ = [
     "ConsumerCriticalityStats",
@@ -31,4 +32,5 @@ __all__ = [
     "merge_profiles",
     "near_critical_profile",
     "render_pipeline",
+    "summarize",
 ]

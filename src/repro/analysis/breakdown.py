@@ -7,10 +7,10 @@ so the stacked bars sum to the run's normalized CPI exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.results import SimulationResult
+from repro.core.results import CpiBreakdown, SimulationResult
 from repro.criticality.critical_path import analyze_critical_path
+
+__all__ = ["FIGURE5_SEGMENTS", "CpiBreakdown", "cpi_breakdown"]
 
 # Display order of Figure 5's stack segments (bottom to top).
 FIGURE5_SEGMENTS = (
@@ -24,20 +24,6 @@ FIGURE5_SEGMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class CpiBreakdown:
-    """One run's CPI split across critical-path categories."""
-
-    segments: dict[str, float]
-    cpi: float
-
-    def normalized(self, baseline_cpi: float) -> dict[str, float]:
-        """Segments scaled so their sum is this run's CPI / baseline CPI."""
-        if baseline_cpi <= 0:
-            raise ValueError("baseline CPI must be positive")
-        return {name: value / baseline_cpi for name, value in self.segments.items()}
-
-
 def cpi_breakdown(result: SimulationResult) -> CpiBreakdown:
     """Attribute a run's cycles per instruction to Figure 5 categories."""
     analysis = analyze_critical_path(result.records)
@@ -48,4 +34,6 @@ def cpi_breakdown(result: SimulationResult) -> CpiBreakdown:
     # difference from result.cycles into 'execute' so stacks sum to CPI.
     residual = result.cycles - analysis.attributed_cycles
     segments["execute"] += residual / instructions
-    return CpiBreakdown(segments=segments, cpi=result.cpi)
+    return CpiBreakdown(
+        segments=segments, cpi=result.cpi, attributed_cycles=analysis.attributed_cycles
+    )

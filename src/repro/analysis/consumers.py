@@ -17,40 +17,38 @@ consumers, consumer lists come from the dependence extraction.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.instruction import InFlight
 from repro.core.rename import build_consumer_lists
+from repro.core.results import ConsumerCriticalityStats
 from repro.criticality.critical_path import critical_flags
 
-
-@dataclass(frozen=True)
-class ConsumerCriticalityStats:
-    """The three Section 6 statistics."""
-
-    # Fraction of dynamic values whose most-critical consumer PC matches the
-    # statically dominant most-critical-consumer PC for that producer PC.
-    statically_unique_fraction: float
-    # Fraction of static consumers whose "was most critical" rate is extreme
-    # (below 20% or above 80%) -- the bimodality measure.
-    bimodal_fraction: float
-    # Among values from critical producers with >= 2 consumers: fraction
-    # whose most critical consumer is NOT the first consumer in fetch order.
-    most_critical_not_first_fraction: float
-    values_analyzed: int
+__all__ = [
+    "ConsumerCriticalityStats",
+    "consumer_criticality_stats",
+    "exact_loc_by_pc",
+]
 
 
 def consumer_criticality_stats(
     records: Sequence[InFlight],
     loc_by_pc: dict[int, float] | None = None,
     chunk_size: int = 2048,
+    flags: Sequence[bool] | None = None,
 ) -> ConsumerCriticalityStats:
-    """Compute the Section 6 statistics from one run's records."""
-    flags = critical_flags(records, chunk_size=chunk_size)
+    """Compute the Section 6 statistics from one run's records.
+
+    ``flags`` are the run's critical flags, computed with ``chunk_size``
+    when not given.
+    """
+    if flags is None:
+        flags = critical_flags(records, chunk_size=chunk_size)
     if loc_by_pc is None:
         loc_by_pc = exact_loc_by_pc(records, flags)
 
+    pcs = [record.instr.pc for record in records]
+    locs = [loc_by_pc.get(pc, 0.0) for pc in pcs]
     consumers = build_consumer_lists([r.deps for r in records])
 
     # Per producer PC: counts of which consumer PC was most critical.
@@ -61,17 +59,16 @@ def consumer_criticality_stats(
     not_first = 0
     critical_multi_values = 0
 
-    for i, record in enumerate(records):
-        consumer_list = consumers[i]
+    for i, consumer_list in enumerate(consumers):
         if not consumer_list:
             continue
-        best = max(
-            consumer_list, key=lambda c: (loc_by_pc.get(records[c].instr.pc, 0.0), -c)
-        )
-        best_pc = records[best].instr.pc
-        winner_by_producer_pc[record.instr.pc][best_pc] += 1
+        # The most critical consumer; the first in fetch order on a tie.
+        best = consumer_list[0]
+        if len(consumer_list) > 1:
+            best = max(consumer_list, key=lambda c: (locs[c], -c))
+        winner_by_producer_pc[pcs[i]][pcs[best]] += 1
         for c in consumer_list:
-            stats = consumer_wins[records[c].instr.pc]
+            stats = consumer_wins[pcs[c]]
             stats[1] += 1
             if c == best:
                 stats[0] += 1

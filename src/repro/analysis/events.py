@@ -15,36 +15,13 @@ to be remote) and ``other``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.instruction import InFlight, SteerCause
+from repro.core.results import ContentionEvents, ForwardingEvents
 from repro.criticality.critical_path import critical_flags
 
-
-@dataclass(frozen=True)
-class ContentionEvents:
-    """Figure 6a: critical-path contention stalls."""
-
-    predicted_critical: int
-    other: int
-
-    @property
-    def total(self) -> int:
-        return self.predicted_critical + self.other
-
-
-@dataclass(frozen=True)
-class ForwardingEvents:
-    """Figure 6b: critical-path forwarding delays by steering cause."""
-
-    load_balance: int
-    dyadic: int
-    other: int
-
-    @property
-    def total(self) -> int:
-        return self.load_balance + self.dyadic + self.other
+__all__ = ["ContentionEvents", "ForwardingEvents", "classify_lost_cycle_events"]
 
 
 def classify_lost_cycle_events(

@@ -20,8 +20,10 @@ without a single deep import:
   (:func:`register_steering`, :func:`register_scheduler`,
   :func:`register_predictor`);
 * **workbench & execution** -- :class:`Workbench`, :class:`RunCache`,
-  :class:`RunJob`, :func:`execute_job`, :func:`job_key`,
-  :func:`prepare_workload`, :func:`run_seeded`, :func:`average_figures`;
+  :class:`RunJob`, :func:`execute_job` (a job's :class:`RunSummary`),
+  :func:`simulate` (its full :class:`SimulationResult`, in-process),
+  :func:`summarize`, :func:`job_key`, :func:`prepare_workload`,
+  :func:`run_seeded`, :func:`average_figures`;
 * **fault tolerance & checkpointing** -- :class:`ExecutionPolicy` (retry
   / timeout / fail-fast knobs), :class:`JobOutcome` and
   :class:`RunFailure` (failures as values), :func:`execute_outcomes`,
@@ -63,6 +65,7 @@ from repro.analysis.breakdown import cpi_breakdown
 from repro.analysis.consumers import exact_loc_by_pc
 from repro.analysis.events import classify_lost_cycle_events
 from repro.analysis.pipeview import contention_hotspots, render_pipeline
+from repro.analysis.summary import summarize
 from repro.core.config import (
     ClusterConfig,
     MachineConfig,
@@ -77,7 +80,7 @@ from repro.core.instruction import (
 )
 from repro.core.reference import ReferenceSimulator
 from repro.core.rename import Dependences, extract_dependences
-from repro.core.results import IlpProfile, SimulationResult
+from repro.core.results import IlpProfile, RunSummary, SimulationResult
 from repro.core.scheduling.policies import (
     CriticalFirstScheduler,
     LocScheduler,
@@ -134,6 +137,7 @@ from repro.experiments.parallel import (
     execute_outcomes,
     prepare_workload,
     run_job_outcome,
+    simulate,
 )
 from repro.experiments.sweep import run_spec
 from repro.service import (
@@ -219,9 +223,11 @@ def run(
 ) -> SimulationResult:
     """One simulation from plain names: the shortest path to a result.
 
-    ``config`` defaults to the paper's 4-cluster machine; any remaining
-    :class:`RunJob` field (``warm``, ``sim``, ``collect_ilp``,
-    ``loc_mode``) can be overridden through ``job_kwargs``.
+    Runs in this process, without a cache, and returns the full
+    :class:`SimulationResult`, records included.  ``config`` defaults to
+    the paper's 4-cluster machine; any remaining :class:`RunJob` field
+    (``warm``, ``sim``, ``collect_ilp``, ``loc_mode``) can be overridden
+    through ``job_kwargs``.
     """
     job = RunJob(
         kernel=kernel,
@@ -233,7 +239,7 @@ def run(
         metrics=metrics,
         **job_kwargs,
     )
-    return execute_job(job)
+    return simulate(job)
 
 
 def sweep(
@@ -245,12 +251,12 @@ def sweep(
     workers: int = 0,
     cache: RunCache | None = None,
     metrics: bool = False,
-) -> dict[tuple[str, str, str], SimulationResult]:
+) -> dict[tuple[str, str, str], RunSummary]:
     """The cartesian product of kernels x configs x policies, as a dict.
 
-    Keys are ``(kernel, config.name, policy)``; values come back through
-    the same workbench caching layer the figures use, so repeated sweeps
-    hit the cache.
+    Keys are ``(kernel, config.name, policy)``; values are the runs'
+    :class:`RunSummary`\\ s, through the same workbench caching layer the
+    figures use, so repeated sweeps hit the cache.
     """
     bench = Workbench(
         instructions=instructions,
@@ -338,6 +344,7 @@ __all__ = [
     "prepare_workload",
     "run_job_outcome",
     "run_seeded",
+    "simulate",
     # fault tolerance & checkpointing
     "ExecutionInterrupted",
     "ExecutionPolicy",
@@ -401,6 +408,7 @@ __all__ = [
     "IlpProfile",
     "InFlight",
     "ReferenceSimulator",
+    "RunSummary",
     "SimulationResult",
     "SteerCause",
     "config_from_dict",
@@ -433,6 +441,7 @@ __all__ = [
     "exact_loc_by_pc",
     "render_pipeline",
     "slack_histogram",
+    "summarize",
     # workloads & VM
     "SUITE",
     "assemble",

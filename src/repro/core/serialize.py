@@ -1,50 +1,43 @@
-"""Exact JSON serialization of :class:`SimulationResult`.
+"""Exact JSON serialization of :class:`RunSummary`, and record identity.
 
-The persistent run cache (:mod:`repro.experiments.cache`) and the
-parallel-vs-serial determinism tests both need a lossless, canonical
-representation of everything a run produced: the machine configuration,
-every per-instruction :class:`~repro.core.instruction.InFlight` record
-(including its event provenance enums and its consumer back-references),
-the misprediction set and the optional ILP profile.
+The persistent run cache (:mod:`repro.experiments.cache`), the lanes'
+returns and the distributed wire all carry a run as its
+:class:`~repro.core.results.RunSummary`.  :func:`result_to_dict` writes
+one in plain JSON types and :func:`result_from_dict` reads it back equal:
+floats round-trip exactly through ``repr``, and int-keyed dicts (the LoC
+table, the ILP profile) travel as ``[key, value]`` pairs so they come back
+with int keys in their original order.  The decoder checks the JSON type
+of every summary field, so a damaged entry raises ``KeyError`` /
+``TypeError`` / ``ValueError`` instead of loading as a wrong summary.
 
-The representation is plain JSON types only, so ``result_to_dict(a) ==
-result_to_dict(b)`` is the definition of "bit-identical results" used by
-the test suite, and ``result_from_dict(result_to_dict(r))`` reproduces a
-result whose every derived statistic (CPI, breakdowns, event
-classifications) matches the original exactly.
+Telemetry payloads are optional and round-trip losslessly, but are
+**absent** from the dict when unset.
 
-``records`` is packed as columns: one list per field, in trace order, so
-each field name appears once per result instead of once per record.
-Enums are stored by name.  Cross-record references (``InFlight.waiters``)
-are stored as trace indices and re-linked on load, so the reconstructed
-record graph has the same shape as the live one.
-
-Telemetry payloads (``SimulationResult.telemetry``) are optional and
-round-trip losslessly, but are **absent** from the dict when unset.
-``results_identical`` compares *simulation* output and ignores telemetry
-(an observational payload that legitimately differs between the event
-and reference simulators, which sample live state differently).
+Full per-instruction records never leave the process that ran the
+engine.  :func:`results_identical` compares two in-process
+:class:`~repro.core.results.SimulationResult` pairs record by record -- the
+definition of "bit-identical results" the differential suites use.
 """
 
 from __future__ import annotations
 
-from itertools import starmap
+from dataclasses import asdict, astuple
 from operator import attrgetter
 from typing import Any
 
 from repro.core.config import ClusterConfig, MachineConfig
-from repro.core.instruction import (
-    CommitReason,
-    DispatchReason,
-    InFlight,
-    SteerCause,
+from repro.core.instruction import InFlight
+from repro.core.results import (
+    ConsumerCriticalityStats,
+    ContentionEvents,
+    CpiBreakdown,
+    ForwardingEvents,
+    IlpProfile,
+    RunSummary,
+    SimulationResult,
 )
-from repro.core.rename import Dependences
-from repro.core.results import IlpProfile, SimulationResult
 from repro.frontend.fetch import FrontEndConfig
 from repro.memory.cache import CacheConfig, MemoryConfig
-from repro.vm.isa import OpClass
-from repro.vm.trace import DynamicInstruction
 
 # ---------------------------------------------------------------------------
 # Machine configuration
@@ -139,157 +132,183 @@ def _cache_config_to_dict(cache: CacheConfig) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction records, as packed columns
+# Run summaries
 # ---------------------------------------------------------------------------
 
-# DynamicInstruction's fields in constructor order (``opclass`` is stored
-# by name, ``srcs`` as a list).
-_INSTR_FIELDS = DynamicInstruction.__match_args__
-# InFlight fields holding an enum member, stored by name (name -> member).
-_ENUM_FIELDS = {
-    "dispatch_reason": DispatchReason.__members__,
-    "steer_cause": SteerCause.__members__,
-    "commit_reason": CommitReason.__members__,
+# Scalar fields of a summary dict and their JSON types.
+_SCALARS = {
+    "cycles": int,
+    "instructions": int,
+    "global_values": int,
+    "l1_hits": int,
+    "l1_misses": int,
+    "steering_name": str,
+    "scheduler_name": str,
+    "cpi": float,
+    "attributed_cycles": int,
 }
-# Every other InFlight slot holds a JSON scalar and is stored as it is,
-# except the instruction, its dependences and trace index (the columns
-# above) and the cross-record fields converted below.
-_PLAIN_FIELDS = tuple(
-    name
-    for name in InFlight.__slots__
-    if name not in _ENUM_FIELDS
-    and name not in ("instr", "deps", "index", "waiters", "forwarded_to_clusters")
-)
 
 
-def _records_to_columns(records: list[InFlight]) -> dict[str, list[Any]]:
-    """One list per field, in trace order; ``waiters`` become indices."""
-    instrs = [record.instr for record in records]
-    columns = {name: list(map(attrgetter(name), instrs)) for name in _INSTR_FIELDS}
-    columns["opclass"] = [opclass.name for opclass in columns["opclass"]]
-    columns["srcs"] = list(map(list, columns["srcs"]))
-    columns["reg_deps"] = [list(record.deps.reg_deps) for record in records]
-    columns["mem_dep"] = [record.deps.mem_dep for record in records]
-    for name in _PLAIN_FIELDS:
-        columns[name] = list(map(attrgetter(name), records))
-    for name in _ENUM_FIELDS:
-        columns[name] = list(map(attrgetter(f"{name}.name"), records))
-    columns["waiters"] = [[w.index for w in record.waiters] for record in records]
-    # [cluster, arrival] pairs: JSON object keys would be strings.
-    columns["forwarded_to_clusters"] = [
-        list(map(list, record.forwarded_to_clusters.items())) for record in records
-    ]
-    return columns
+def _checked(value: Any, kind: type, name: str) -> Any:
+    """``value`` if its JSON type is exactly ``kind`` (so no bool for int)."""
+    if type(value) is not kind:
+        raise TypeError(
+            f"summary field {name!r} is {type(value).__name__}, want {kind.__name__}"
+        )
+    return value
 
 
-def _records_from_columns(columns: dict[str, list[Any]]) -> list[InFlight]:
-    """Inverse of :func:`_records_to_columns`, re-linking ``waiters``.
+def _counts(values: Any, name: str) -> list[int]:
+    return [_checked(value, int, name) for value in _checked(values, list, name)]
 
-    Every column is zipped with ``strict=True``, so a damaged entry whose
-    columns differ in length raises instead of loading short.
+
+def _pairs(mapping: dict) -> list[list]:
+    return [[key, value] for key, value in mapping.items()]
+
+
+def _int_keyed(pairs: Any, kind: type, name: str) -> dict:
+    """Inverse of :func:`_pairs` for int keys and ``kind`` values."""
+    return {
+        _checked(key, int, name): _checked(value, kind, name)
+        for key, value in _checked(pairs, list, name)
+    }
+
+
+def result_to_dict(summary: RunSummary) -> dict[str, Any]:
+    """Lossless JSON-type representation of a run's summary.
+
+    The ``telemetry`` key exists only when the run carried a payload.
     """
-    instr_columns = {name: columns[name] for name in _INSTR_FIELDS}
-    instr_columns["opclass"] = [OpClass[name] for name in columns["opclass"]]
-    instr_columns["srcs"] = map(tuple, columns["srcs"])
-    instrs = starmap(DynamicInstruction, zip(*instr_columns.values(), strict=True))
-    deps = zip(map(tuple, columns["reg_deps"]), columns["mem_dep"], strict=True)
-    records = [
-        InFlight(instr, Dependences(*dep)) for instr, dep in zip(instrs, deps, strict=True)
-    ]
-    for name in _PLAIN_FIELDS:
-        for record, value in zip(records, columns[name], strict=True):
-            setattr(record, name, value)
-    for name, members in _ENUM_FIELDS.items():
-        for record, member in zip(records, columns[name], strict=True):
-            setattr(record, name, members[member])
-    by_index = {record.index: record for record in records}
-    for record, waiters, forwarded in zip(
-        records, columns["waiters"], columns["forwarded_to_clusters"], strict=True
-    ):
-        record.waiters = [by_index[i] for i in waiters]
-        record.forwarded_to_clusters = dict(forwarded)
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Whole results
-# ---------------------------------------------------------------------------
-
-
-def result_to_dict(result: SimulationResult) -> dict[str, Any]:
-    """Lossless JSON-type representation of a run.
-
-    The ``telemetry`` key exists only when the run carried a payload, so
-    telemetry-off results keep the exact pre-telemetry representation.
-    """
-    ilp = result.ilp_profile
+    ilp = summary.ilp_profile
+    contention, forwarding = summary.lost_cycle_events
+    breakdown = summary.breakdown
     data = {
-        "config": config_to_dict(result.config),
-        "records": _records_to_columns(result.records),
-        "cycles": result.cycles,
-        "mispredicted": sorted(result.mispredicted),
-        "global_values": result.global_values,
-        "l1_hits": result.l1_hits,
-        "l1_misses": result.l1_misses,
+        "config": config_to_dict(summary.config),
+        "cycles": summary.cycles,
+        "instructions": summary.instructions,
+        "global_values": summary.global_values,
+        "l1_hits": summary.l1_hits,
+        "l1_misses": summary.l1_misses,
+        "steering_name": summary.steering_name,
+        "scheduler_name": summary.scheduler_name,
         "ilp_profile": None
         if ilp is None
-        else {
-            "issued_sum": {str(k): v for k, v in sorted(ilp.issued_sum.items())},
-            "cycle_count": {str(k): v for k, v in sorted(ilp.cycle_count.items())},
-        },
-        "steering_name": result.steering_name,
-        "scheduler_name": result.scheduler_name,
+        else {"issued_sum": _pairs(ilp.issued_sum), "cycle_count": _pairs(ilp.cycle_count)},
+        "segments": breakdown.segments,
+        "cpi": breakdown.cpi,
+        "attributed_cycles": breakdown.attributed_cycles,
+        "contention_events": list(astuple(contention)),
+        "forwarding_events": list(astuple(forwarding)),
+        "loc_by_pc": _pairs(summary.loc_by_pc),
+        "pc_counts": _pairs(summary.pc_counts),
+        "consumer_stats": asdict(summary.consumer_stats),
+        "latencies": list(summary.latencies),
     }
-    if result.telemetry is not None:
+    if summary.telemetry is not None:
         from repro.telemetry.recorder import telemetry_to_dict
 
-        data["telemetry"] = telemetry_to_dict(result.telemetry)
+        data["telemetry"] = telemetry_to_dict(summary.telemetry)
     return data
 
 
-def result_from_dict(data: dict[str, Any]) -> SimulationResult:
-    """Inverse of :func:`result_to_dict`, re-linking consumer references."""
-    records = _records_from_columns(data["records"])
-    ilp = None
-    if data["ilp_profile"] is not None:
-        ilp = IlpProfile(
-            issued_sum={
-                int(k): v for k, v in data["ilp_profile"]["issued_sum"].items()
-            },
-            cycle_count={
-                int(k): v for k, v in data["ilp_profile"]["cycle_count"].items()
-            },
+def result_from_dict(data: dict[str, Any]) -> RunSummary:
+    """Inverse of :func:`result_to_dict`.
+
+    Raises ``KeyError`` for a missing field, ``TypeError`` for a field of
+    the wrong JSON type and ``ValueError`` for per-instruction columns that
+    disagree with ``instructions``, so a damaged payload never loads.
+    """
+    scalars = {name: _checked(data[name], kind, name) for name, kind in _SCALARS.items()}
+    latencies = tuple(_counts(data["latencies"], "latencies"))
+    pc_counts = _int_keyed(data["pc_counts"], int, "pc_counts")
+    if not len(latencies) == sum(pc_counts.values()) == scalars["instructions"]:
+        raise ValueError(
+            f"summary of {scalars['instructions']} instructions holds "
+            f"{len(latencies)} latencies and {sum(pc_counts.values())} counted"
         )
+    ilp = data["ilp_profile"]
+    if ilp is not None:
+        ilp = IlpProfile(
+            issued_sum=_int_keyed(ilp["issued_sum"], int, "ilp_profile"),
+            cycle_count=_int_keyed(ilp["cycle_count"], int, "ilp_profile"),
+        )
+    segments = _checked(data["segments"], dict, "segments")
+    for value in segments.values():
+        _checked(value, float, "segments")
+    stats = _checked(data["consumer_stats"], dict, "consumer_stats")
     telemetry = None
     if data.get("telemetry") is not None:
         from repro.telemetry.recorder import telemetry_from_dict
 
         telemetry = telemetry_from_dict(data["telemetry"])
-    return SimulationResult(
+    return RunSummary(
         config=config_from_dict(data["config"]),
-        records=records,
-        cycles=data["cycles"],
-        mispredicted=frozenset(data["mispredicted"]),
-        global_values=data["global_values"],
-        l1_hits=data["l1_hits"],
-        l1_misses=data["l1_misses"],
+        cycles=scalars["cycles"],
+        instructions=scalars["instructions"],
+        global_values=scalars["global_values"],
+        l1_hits=scalars["l1_hits"],
+        l1_misses=scalars["l1_misses"],
+        steering_name=scalars["steering_name"],
+        scheduler_name=scalars["scheduler_name"],
         ilp_profile=ilp,
-        steering_name=data["steering_name"],
-        scheduler_name=data["scheduler_name"],
+        breakdown=CpiBreakdown(segments, scalars["cpi"], scalars["attributed_cycles"]),
+        lost_cycle_events=(
+            ContentionEvents(*_counts(data["contention_events"], "contention_events")),
+            ForwardingEvents(*_counts(data["forwarding_events"], "forwarding_events")),
+        ),
+        loc_by_pc=_int_keyed(data["loc_by_pc"], float, "loc_by_pc"),
+        pc_counts=pc_counts,
+        consumer_stats=ConsumerCriticalityStats(
+            statically_unique_fraction=_checked(
+                stats["statically_unique_fraction"], float, "consumer_stats"
+            ),
+            bimodal_fraction=_checked(stats["bimodal_fraction"], float, "consumer_stats"),
+            most_critical_not_first_fraction=_checked(
+                stats["most_critical_not_first_fraction"], float, "consumer_stats"
+            ),
+            values_analyzed=_checked(stats["values_analyzed"], int, "consumer_stats"),
+        ),
+        latencies=latencies,
         telemetry=telemetry,
     )
 
 
-def results_identical(a: SimulationResult, b: SimulationResult) -> bool:
-    """Whether two runs produced bit-identical results.
+# ---------------------------------------------------------------------------
+# Record identity
+# ---------------------------------------------------------------------------
 
-    Compares the canonical JSON forms, so every timing field, provenance
-    enum, waiter edge and counter must match -- the invariant the parallel
-    execution layer guarantees relative to serial execution.  Telemetry is
-    observational metadata, not simulation output, and is excluded.
+# Every InFlight slot compared by value; the two cross-record fields are
+# compared below by trace index and arrival order.
+_RECORD_VALUES = attrgetter(
+    *(name for name in InFlight.__slots__ if name not in ("waiters", "forwarded_to_clusters"))
+)
+_RESULT_VALUES = attrgetter(
+    "config",
+    "cycles",
+    "mispredicted",
+    "global_values",
+    "l1_hits",
+    "l1_misses",
+    "ilp_profile",
+    "steering_name",
+    "scheduler_name",
+)
+
+
+def results_identical(a: SimulationResult, b: SimulationResult) -> bool:
+    """Whether two in-process runs produced bit-identical results.
+
+    Every :class:`~repro.core.instruction.InFlight` slot must match --
+    timing fields, provenance enums, ``instr`` and ``deps``, ``waiters``
+    by trace index and ``forwarded_to_clusters`` in arrival order -- and
+    so must the counters, ``mispredicted`` and the ILP profile.  Telemetry
+    is observational metadata, not simulation output, and is excluded.
     """
-    left = result_to_dict(a)
-    right = result_to_dict(b)
-    left.pop("telemetry", None)
-    right.pop("telemetry", None)
-    return left == right
+    if _RESULT_VALUES(a) != _RESULT_VALUES(b) or len(a.records) != len(b.records):
+        return False
+    return all(
+        _RECORD_VALUES(x) == _RECORD_VALUES(y)
+        and [w.index for w in x.waiters] == [w.index for w in y.waiters]
+        and list(x.forwarded_to_clusters.items()) == list(y.forwarded_to_clusters.items())
+        for x, y in zip(a.records, b.records)
+    )

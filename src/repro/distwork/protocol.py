@@ -13,9 +13,9 @@ Messages (coordinator <-> worker)
 ---------------------------------
 Worker-initiated, one request/response pair per frame exchange::
 
-    {"op": "hello", "worker": id, "version": 2}
-        -> {"op": "welcome", "version": 2, "heartbeat": seconds}
-         | {"op": "refused", "version": 2}     # another version: the
+    {"op": "hello", "worker": id, "version": 3}
+        -> {"op": "welcome", "version": 3, "heartbeat": seconds}
+         | {"op": "refused", "version": 3}     # another version: the
                                                # connection is closed
     {"op": "next", "worker": id}
         -> {"op": "task", "id": tid, "job": {...}, "policy": {...},
@@ -32,7 +32,8 @@ Worker-initiated, one request/response pair per frame exchange::
 Both sides check :data:`PROTOCOL_VERSION`: the coordinator refuses another
 version and serves its other workers on, and a worker not welcomed with its
 own version raises :class:`VersionMismatch` instead of reconnecting.
-Version 2 results carry packed record columns; version 1 sent one dict per record.
+Version 3 results are run summaries (:func:`~repro.core.serialize.result_to_dict`);
+version 2 sent packed record columns and version 1 one dict per record.
 
 ``attempt`` is the number of attempts already charged to the task by
 earlier (dead) leases; the worker's in-process retry loop continues
@@ -46,8 +47,8 @@ Jobs, execution policies and outcomes cross the wire through the repo's
 existing lossless serializers (:mod:`repro.core.serialize`,
 :mod:`repro.specs.policy`, :class:`~repro.experiments.outcomes.RunFailure`),
 so a round-tripped job hashes to the same
-:func:`~repro.experiments.cache.job_key` and a round-tripped result is
-bit-identical under :func:`~repro.core.serialize.results_identical`.
+:func:`~repro.experiments.cache.job_key` and a round-tripped result equals
+the :class:`~repro.core.results.RunSummary` the worker produced.
 """
 
 from __future__ import annotations
@@ -83,11 +84,11 @@ __all__ = [
     "send_frame",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct(">I")
 
-# A 12k-instruction result is about 2 MB of JSON; half a GiB of headroom
+# A 12k-instruction summary is about 27 KB of JSON; half a GiB of headroom
 # distinguishes "big result" from "garbled length prefix".
 MAX_FRAME = 1 << 29
 

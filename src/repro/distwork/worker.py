@@ -62,7 +62,18 @@ from repro.experiments.executor import Lane
 from repro.experiments.outcomes import ExecutionInterrupted, JobOutcome
 from repro.experiments.parallel import run_job_outcome
 
-__all__ = ["execute_leased_job", "main", "run_supervisor", "run_worker"]
+__all__ = [
+    "EXIT_VERSION_MISMATCH",
+    "execute_leased_job",
+    "main",
+    "run_supervisor",
+    "run_worker",
+]
+
+# Exit status of a worker whose coordinator speaks another protocol
+# version (sysexits.h's EX_CONFIG).  Respawning cannot help, so a
+# supervisor stops on it instead.
+EXIT_VERSION_MISMATCH = 78
 
 
 def execute_leased_job(
@@ -281,7 +292,10 @@ def run_supervisor(
     the idle timeout elapsed -- and is not restarted.  A process that
     dies any other way (crash, OOM-kill, SIGKILL) is respawned after
     ``respawn_delay`` seconds; whatever lease it held is re-queued by the
-    coordinator's heartbeat timeout, so the sweep loses no work.
+    coordinator's heartbeat timeout, so the sweep loses no work.  A
+    process exiting :data:`EXIT_VERSION_MISMATCH` stops every slot and
+    raises :class:`~repro.distwork.protocol.VersionMismatch`: another
+    process of the same checkout would be refused the same way.
 
     ``max_respawns`` bounds total restarts (``None`` = unbounded; the
     respawn delay throttles crash loops either way).  Returns the number
@@ -313,6 +327,11 @@ def run_supervisor(
                 del active[slot]
                 if code == 0:
                     continue  # clean exit: the slot's work is finished
+                if code == EXIT_VERSION_MISMATCH:
+                    raise VersionMismatch(
+                        f"worker {slot} was refused the coordinator's protocol "
+                        f"version (exit {code}); not respawning"
+                    )
                 if max_respawns is not None and respawns >= max_respawns:
                     continue
                 pending[slot] = now + respawn_delay
@@ -373,14 +392,18 @@ def _supervise_main(args: argparse.Namespace) -> int:
         # pid to target individual workers.
         print(f"supervisor: worker {slot} pid {process.pid}", flush=True)
 
-    respawns = run_supervisor(
-        args.supervise,
-        spawn,
-        poll=min(args.poll, 0.5),
-        respawn_delay=args.respawn_delay,
-        max_respawns=args.max_respawns,
-        on_spawn=announce,
-    )
+    try:
+        respawns = run_supervisor(
+            args.supervise,
+            spawn,
+            poll=min(args.poll, 0.5),
+            respawn_delay=args.respawn_delay,
+            max_respawns=args.max_respawns,
+            on_spawn=announce,
+        )
+    except VersionMismatch as exc:
+        print(f"repro worker: supervisor stopped: {exc}", file=sys.stderr)
+        return EXIT_VERSION_MISMATCH
     print(f"supervisor done: {args.supervise} worker(s), {respawns} respawn(s)")
     return 0
 
@@ -475,6 +498,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     except VersionMismatch as exc:
         print(f"repro worker: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_VERSION_MISMATCH
     print(f"worker done: {executed} job(s) executed")
     return 0

@@ -9,16 +9,18 @@ whenever a code change legitimately alters simulation output (simulator
 timing, policy behaviour, trace generation, or the serialization schema).
 Stale entries from older salts are simply never looked up again.
 
-Entries are gzipped JSON files (one per run) under ``~/.cache/repro`` by
-default, overridable with ``--cache-dir`` / ``REPRO_CACHE_DIR`` /
+Entries are gzipped JSON files (one per run, holding the run's
+:class:`~repro.core.results.RunSummary`: under 2 KB at 300 instructions)
+under ``~/.cache/repro`` by default, overridable with ``--cache-dir`` / ``REPRO_CACHE_DIR`` /
 ``XDG_CACHE_HOME``.  The cache is crash-safe and self-healing:
 
 * writes go through a temp file tagged with the pid and thread id and
   ``os.replace``, so a worker killed mid-store can never leave a
   truncated entry under a real key, and concurrent invocations (and
   threads) can share a directory safely;
-* a corrupt, truncated or schema-stale entry never propagates an
-  exception out of :meth:`RunCache.load` -- it is **quarantined** to a
+* a corrupt, truncated, schema-stale or wrongly shaped entry never
+  propagates an exception out of :meth:`RunCache.load` -- it is
+  **quarantined** to a
   ``*.corrupt`` sibling (with a single warning per cache instance), the
   lookup reports a miss, and the fresh recomputation overwrites it.
 
@@ -39,7 +41,7 @@ import warnings
 import zlib
 from typing import TYPE_CHECKING
 
-from repro.core.results import SimulationResult
+from repro.core.results import RunSummary
 from repro.core.serialize import config_to_dict, result_from_dict, result_to_dict
 from repro.experiments.journal import atomic_write
 from repro.specs.policy import policy_label, resolve_policy
@@ -69,7 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness -> parallel)
 # 5: ``result_to_dict`` packs ``records`` as one column per field instead
 #    of one dict per record, which v4 readers cannot decode.  Simulation
 #    output is unchanged; only the key's salt moves.
-CACHE_SCHEMA_VERSION = 5
+# 6: an entry holds the run's ``RunSummary`` (counters, breakdown, event
+#    classes, LoC table, consumer statistics, latencies) instead of its
+#    records.  Simulation output is unchanged; only the key's salt moves.
+CACHE_SCHEMA_VERSION = 6
 
 # Level 9 would save 2% of a 12 000-instruction entry for 3x the time.
 GZIP_LEVEL = 6
@@ -116,7 +121,7 @@ def job_key(job: RunJob) -> str:
 
 
 class RunCache:
-    """On-disk store of :class:`SimulationResult`\\ s, keyed by :func:`job_key`.
+    """On-disk store of :class:`RunSummary`\\ s, keyed by :func:`job_key`.
 
     An optional :class:`~repro.telemetry.tracing.Tracer` times every load
     and store as ``cache.load`` / ``cache.store`` spans (loads are tagged
@@ -137,7 +142,7 @@ class RunCache:
         return self.root / key[:2] / f"{key}.json.gz"
 
     # ------------------------------------------------------------------
-    def load(self, job: RunJob) -> SimulationResult | None:
+    def load(self, job: RunJob) -> RunSummary | None:
         """Return the cached result for ``job``, or None (counting hit/miss)."""
         if self.tracer is None:
             return self._load(job)
@@ -151,10 +156,12 @@ class RunCache:
         )
         return result
 
-    def _load(self, job: RunJob) -> SimulationResult | None:
+    def _load(self, job: RunJob) -> RunSummary | None:
         path = self.path_for(job_key(job))
         try:
             payload = json.loads(gzip.decompress(path.read_bytes()))
+            if not isinstance(payload, dict):
+                raise TypeError(f"entry is a JSON {type(payload).__name__}, not an object")
             if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
                 # Stale schema under a current key should be impossible
                 # (the version salts the key) -- treat a mismatch as
@@ -198,7 +205,7 @@ class RunCache:
         if self.tracer is not None:
             self.tracer.event("cache.quarantine", path=str(quarantine_path))
 
-    def store(self, job: RunJob, result: SimulationResult) -> None:
+    def store(self, job: RunJob, result: RunSummary) -> None:
         """Persist ``result`` atomically under ``job``'s key."""
         if self.tracer is not None:
             with self.tracer.span("cache.store", kernel=job.kernel):
@@ -206,7 +213,7 @@ class RunCache:
         else:
             self._store(job, result)
 
-    def _store(self, job: RunJob, result: SimulationResult) -> None:
+    def _store(self, job: RunJob, result: RunSummary) -> None:
         key = job_key(job)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -58,7 +58,7 @@ from repro.experiments.outcomes import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.results import SimulationResult
+    from repro.core.results import RunSummary
     from repro.experiments.parallel import RunJob
     from repro.telemetry.tracing import Tracer
 
@@ -527,7 +527,7 @@ class Lane:
         self._deaths = 0  # in a row, with no successful attempt between
         self._pool: ProcessPoolExecutor | None = None
 
-    def __call__(self, job: "RunJob", attempt: int) -> "SimulationResult":
+    def __call__(self, job: "RunJob", attempt: int) -> "RunSummary":
         from repro.experiments.parallel import _chaos_action, _pool_attempt, _run_attempt
 
         fault = _chaos_action(job, attempt)

@@ -70,8 +70,7 @@ def run_figure2(bench: Workbench, forwarding_latency: int = 2) -> FigureData:
             figure.add_row(spec.name, *([label] * len(CLUSTER_COUNTS)))
             continue
         prepared = bench.prepare(spec)
-        mono = out.result
-        latencies = [rec.latency for rec in mono.records]
+        latencies = out.result.latencies
         base = list_schedule(
             prepared.trace,
             prepared.dependences,

@@ -9,7 +9,7 @@ contention grow with cluster count).
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import FIGURE5_SEGMENTS, cpi_breakdown
+from repro.analysis.breakdown import FIGURE5_SEGMENTS
 from repro.core.config import monolithic_machine
 from repro.experiments.figure import FigureData, annotate_failures
 from repro.experiments.harness import Workbench
@@ -93,7 +93,7 @@ def run_figure5(bench: Workbench, forwarding_latency: int = 2) -> FigureData:
                     spec.name, label, *([out.failure.label()] * width)
                 )
                 continue
-            segments = cpi_breakdown(out.result).normalized(base_cpi)
+            segments = out.result.breakdown.normalized(base_cpi)
             values = [segments[name] for name in FIGURE5_SEGMENTS]
             total = sum(values)
             figure.add_row(spec.name, label, *values, total)

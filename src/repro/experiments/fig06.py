@@ -16,7 +16,6 @@ instructions).
 
 from __future__ import annotations
 
-from repro.analysis.events import classify_lost_cycle_events
 from repro.experiments.figure import FigureData, annotate_failures
 from repro.experiments.harness import Workbench
 from repro.specs import ExperimentSpec, MachineSpec, SweepSpec
@@ -87,9 +86,8 @@ def run_figure6(bench: Workbench, forwarding_latency: int = 2) -> FigureData:
                 failed.append(out)
                 figure.add_row(spec.name, count, *([out.failure.label()] * 5))
                 continue
-            result = out.result
-            contention, forwarding = classify_lost_cycle_events(result.records)
-            scale = 10_000 / len(result.records)
+            contention, forwarding = out.result.lost_cycle_events
+            scale = 10_000 / out.result.instructions
             values = [
                 contention.predicted_critical * scale,
                 contention.other * scale,

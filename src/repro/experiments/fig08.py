@@ -10,9 +10,7 @@ predictor (1-in-8 critical instances suffice to classify critical).
 
 from __future__ import annotations
 
-from repro.analysis.consumers import exact_loc_by_pc
 from repro.core.config import monolithic_machine
-from repro.criticality.critical_path import critical_flags
 from repro.experiments.figure import FigureData
 from repro.experiments.harness import Workbench
 from repro.specs import ExperimentSpec, MachineSpec, SweepSpec
@@ -51,12 +49,10 @@ def run_figure8(bench: Workbench) -> FigureData:
     total = 0
     for spec in bench.benchmarks:
         result = bench.run(spec, monolithic_machine(), "focused")
-        flags = critical_flags(result.records)
-        loc = exact_loc_by_pc(result.records, flags)
-        for record in result.records:
-            value = loc[record.instr.pc]
-            bins[min(len(bins) - 1, int(value * 100) // BIN_PERCENT)] += 1
-            total += 1
+        for pc, count in result.pc_counts.items():
+            value = result.loc_by_pc[pc]
+            bins[min(len(bins) - 1, int(value * 100) // BIN_PERCENT)] += count
+            total += count
 
     figure = FigureData(
         figure_id="Figure 8",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.breakdown import cpi_breakdown
 from repro.core.config import monolithic_machine
 from repro.experiments.figure import FigureData, annotate_failures
 from repro.experiments.harness import Workbench
@@ -109,7 +108,7 @@ def run_figure14(bench: Workbench, forwarding_latency: int = 2) -> FigureData:
                     )
                     continue
                 result = out.result
-                segments = cpi_breakdown(result).normalized(base_cpi)
+                segments = result.breakdown.normalized(base_cpi)
                 norm = result.cpi / base_cpi
                 figure.add_row(
                     spec.name,

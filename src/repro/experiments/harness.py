@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.config import MachineConfig, clustered_machine, monolithic_machine
-from repro.core.results import SimulationResult
+from repro.core.results import RunSummary
 from repro.experiments.batch import batchable_config, fast_policy, prepared_trace
 from repro.experiments.cache import RunCache
 from repro.experiments.executor import Executor, executor_names, make_executor
@@ -156,7 +156,7 @@ class Workbench:
         # Keyed by the full job: RunJob is frozen and its fields are
         # exactly the inputs that determine a run's output, so memory
         # identity coincides with the on-disk cache's hash domain.
-        self._run_cache: dict[RunJob, SimulationResult] = {}
+        self._run_cache: dict[RunJob, RunSummary] = {}
         self._failures: dict[RunJob, JobOutcome] = {}
 
     # ------------------------------------------------------------------
@@ -236,7 +236,7 @@ class Workbench:
         policy: str | PolicySpec,
         collect_ilp: bool = False,
         warm: bool = True,
-    ) -> SimulationResult:
+    ) -> RunSummary:
         """Run ``spec`` on ``config`` under ``policy`` (cached).
 
         Raises :class:`~repro.experiments.outcomes.RunFailureError` if the
@@ -396,7 +396,7 @@ class Workbench:
         self._executor_cache.clear()
 
     # ------------------------------------------------------------------
-    def result_for(self, job: RunJob) -> SimulationResult | None:
+    def result_for(self, job: RunJob) -> RunSummary | None:
         """The already-materialized result for ``job``, if any (no run)."""
         return self._run_cache.get(job)
 
@@ -430,7 +430,7 @@ class Workbench:
             self._run_cache.pop(job, None)
             self._failures.pop(job, None)
 
-    def cached_results(self) -> list[tuple[RunJob, SimulationResult]]:
+    def cached_results(self) -> list[tuple[RunJob, RunSummary]]:
         """Every (job, result) this workbench has materialized, in order.
 
         The run-report builder walks this to aggregate a whole experiment
@@ -441,7 +441,7 @@ class Workbench:
     # ------------------------------------------------------------------
     def monolithic_baseline(
         self, spec: KernelSpec, policy: str | PolicySpec = "l"
-    ) -> SimulationResult:
+    ) -> RunSummary:
         """The 1x8w run results are normalized against."""
         return self.run(spec, monolithic_machine(), policy)
 

@@ -29,7 +29,6 @@ their uniform counterparts.
 
 from __future__ import annotations
 
-from repro.analysis.breakdown import cpi_breakdown
 from repro.core.config import (
     MachineConfig,
     fat_thin_machine,
@@ -146,7 +145,7 @@ def run_hetero_sweep(bench: Workbench) -> FigureData:
                     figure.add_row(spec.name, label, policy, cell, cell, cell)
                     continue
                 result = out.result
-                segments = cpi_breakdown(result).normalized(base_cpi)
+                segments = result.breakdown.normalized(base_cpi)
                 norm = result.cpi / base_cpi
                 figure.add_row(
                     spec.name,

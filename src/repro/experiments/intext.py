@@ -15,9 +15,7 @@ Three experiments the paper reports in prose rather than figures:
 
 from __future__ import annotations
 
-from repro.analysis.consumers import consumer_criticality_stats, exact_loc_by_pc
 from repro.core.config import monolithic_machine
-from repro.criticality.critical_path import critical_flags
 from repro.experiments.figure import FigureData, annotate_failures
 from repro.experiments.harness import Workbench
 from repro.idealized.list_scheduler import list_schedule
@@ -120,10 +118,8 @@ def run_loc_priority_study(bench: Workbench, forwarding_latency: int = 2) -> Fig
             failed.append(out)
             continue
         prepared = bench.prepare(spec)
-        mono = out.result
-        latencies = [rec.latency for rec in mono.records]
-        flags = critical_flags(mono.records)
-        loc_table = exact_loc_by_pc(mono.records, flags)
+        latencies = out.result.latencies
+        loc_table = out.result.loc_by_pc
         binary_table = {pc: value >= 1 / 8 for pc, value in loc_table.items()}
         base = list_schedule(
             prepared.trace,
@@ -199,7 +195,7 @@ def run_consumer_stats(bench: Workbench) -> FigureData:
             failed.append(out)
             figure.add_row(spec.name, *([out.failure.label()] * 3))
             continue
-        stats = consumer_criticality_stats(out.result.records)
+        stats = out.result.consumer_stats
         values = (
             stats.statically_unique_fraction,
             stats.bimodal_fraction,

@@ -5,7 +5,7 @@ silently averages a non-converged run into a figure -- corrupts the
 reproduction.  This module gives the execution layer a vocabulary for
 *partial* success: every job the resilient executor touches produces a
 :class:`JobOutcome`, which either carries the bit-identical
-:class:`~repro.core.results.SimulationResult` or a typed
+:class:`~repro.core.results.RunSummary` or a typed
 :class:`RunFailure` describing what went wrong (error class, attempts,
 elapsed wall time, traceback digest).  Figure renderers turn failures
 into explicit ``FAILED``/``TIMEOUT`` cells instead of dying, and the
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.results import SimulationResult
+    from repro.core.results import RunSummary
     from repro.experiments.parallel import RunJob
 
 __all__ = [
@@ -182,7 +182,7 @@ class ExecutorUnavailable(RuntimeError):
 
 
 class GarbageResult(RuntimeError):
-    """A worker returned something that is not a sane SimulationResult.
+    """A worker returned something that is not a sane RunSummary.
 
     Raised by the executor's post-run validator (and provoked on demand
     by the chaos harness's ``garbage`` mode).  Retryable: a garbled
@@ -219,7 +219,7 @@ class JobOutcome:
     """
 
     job: "RunJob"
-    result: "SimulationResult | None" = None
+    result: "RunSummary | None" = None
     failure: RunFailure | None = None
     attempts: int = 1
     elapsed: float = 0.0
@@ -233,7 +233,7 @@ class JobOutcome:
     def ok(self) -> bool:
         return self.failure is None
 
-    def unwrap(self) -> "SimulationResult":
+    def unwrap(self) -> "RunSummary":
         """The result, or the typed :class:`RunFailureError`."""
         if self.result is None:
             assert self.failure is not None

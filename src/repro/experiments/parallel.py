@@ -16,10 +16,16 @@ its stream from the job's explicit seed.  The per-trace state it shares
 between jobs (the trace memo, :func:`repro.experiments.batch.prepared_trace`)
 is read-only once built, so a job's result does not depend on which jobs
 ran before it in the same process.  Serial and parallel runs therefore
-produce bit-identical :class:`~repro.core.results.SimulationResult`\\ s
--- an invariant enforced by ``tests/test_parallel_workbench.py``.  A
-*retried* job is equally bit-identical to a first-try job: the attempt
-number feeds only the fault-injection harness, never the simulation.
+produce equal :class:`~repro.core.results.RunSummary`\\ s -- an
+invariant enforced by ``tests/test_parallel_workbench.py``.  A *retried*
+job is equally bit-identical to a first-try job: the attempt number feeds
+only the fault-injection harness, never the simulation.
+
+:func:`execute_job` returns the run's summary, computed by
+:func:`~repro.analysis.summary.summarize` right after the engine, in the
+process that holds the records; :func:`simulate` is its engine half and
+returns the full :class:`~repro.core.results.SimulationResult`, which
+never leaves the process.
 
 Fault tolerance (:func:`execute_outcomes`, over
 :class:`~repro.experiments.executor.LocalPoolExecutor`): every job runs
@@ -41,13 +47,14 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro.analysis.summary import summarize
 from repro.core.config import MachineConfig
 from repro.core.rename import Dependences, extract_dependences
-from repro.core.results import SimulationResult
+from repro.core.results import RunSummary, SimulationResult
 from repro.core.simulator import ClusteredSimulator
 from repro.experiments.outcomes import (
     ExecutionInterrupted,
@@ -142,8 +149,20 @@ def _stage_span(tracer: "Tracer | None", job: RunJob, name: str, **meta):
     return tracer.span(name, kernel=job.kernel, policy=policy_label(job.policy), **meta)
 
 
-def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationResult:
-    """Run one simulation on its trace's memoized state.
+def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> RunSummary:
+    """Run one simulation and return its :class:`~repro.core.results.RunSummary`.
+
+    The engine runs as in :func:`simulate`; the analyses the figures read
+    run right after it, here, where the records are (a ``summarize`` span
+    under ``tracer``).
+    """
+    result = simulate(job, tracer=tracer)
+    with _stage_span(tracer, job, "summarize"):
+        return summarize(result)
+
+
+def simulate(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationResult:
+    """Run one simulation on its trace's memoized state, records and all.
 
     The trace comes from this process's trace memo
     (:func:`repro.experiments.batch.prepared_trace`), generated on a miss.
@@ -254,12 +273,12 @@ def _chaos_action(job: RunJob, attempt: int) -> "tuple[str | None, ChaosConfig |
     return schedule(job, attempt), config
 
 
-def _validate_result(job: RunJob, result: object) -> SimulationResult:
+def _validate_result(job: RunJob, result: object) -> RunSummary:
     """Reject a malformed worker return (``garbage`` failure, retryable)."""
-    if not isinstance(result, SimulationResult):
+    if not isinstance(result, RunSummary):
         raise GarbageResult(
             f"worker returned {type(result).__name__} instead of a "
-            f"SimulationResult for {job.kernel}"
+            f"RunSummary for {job.kernel}"
         )
     if result.cycles <= 0 or result.instructions <= 0:
         raise GarbageResult(
@@ -271,7 +290,7 @@ def _validate_result(job: RunJob, result: object) -> SimulationResult:
 
 def _run_attempt(
     job: RunJob, attempt: int, tracer: "Tracer | None", fault: tuple
-) -> SimulationResult:
+) -> RunSummary:
     """One attempt, with its decided ``(action, config)`` fault applied."""
     action, config = fault
     if action is not None:
@@ -280,11 +299,11 @@ def _run_attempt(
         chaos.perform(action, config)
     result = execute_job(job, tracer=tracer)
     if action == "garbage":
-        result.cycles = -abs(result.cycles)
+        result = replace(result, cycles=-abs(result.cycles))
     return _validate_result(job, result)
 
 
-def _pool_attempt(payload: tuple) -> tuple[SimulationResult, list[tuple] | None]:
+def _pool_attempt(payload: tuple) -> tuple[RunSummary, list[tuple] | None]:
     """Lane-child entry: ``(job, attempt, traced, fault)`` -> (result, spans)."""
     job, attempt, traced, fault = payload
     if not traced:
@@ -307,13 +326,13 @@ def run_job_outcome(
     policy: ExecutionPolicy | None = None,
     stats: OutcomeStats | None = None,
     start_attempt: int = 0,
-    attempt_runner: "Callable[[RunJob, int], SimulationResult] | None" = None,
+    attempt_runner: "Callable[[RunJob, int], RunSummary] | None" = None,
     should_stop: "Callable[[], bool] | None" = None,
 ) -> JobOutcome:
     """Run one job with the policy's retry loop: the only attempt loop.
 
     Attempts run in-process unless ``attempt_runner``, a ``(job,
-    attempt) -> SimulationResult`` substitute, runs them elsewhere.  An
+    attempt) -> RunSummary`` substitute, runs them elsewhere.  An
     in-process simulation cannot be interrupted, so ``job_timeout`` binds
     only through a runner that can kill an attempt: the
     :class:`~repro.experiments.executor.Lane` that the local executor's

@@ -178,6 +178,18 @@ class TelemetryData:
         }
 
 
+# The payload's keyed tables: each must decode from a JSON object.
+_TELEMETRY_TABLES = (
+    "interval_series",
+    "dispatch_reasons",
+    "steer_causes",
+    "commit_reasons",
+    "predictor",
+    "contention_events",
+    "forwarding_events",
+)
+
+
 def telemetry_to_dict(data: TelemetryData) -> dict[str, Any]:
     """Lossless JSON-type representation (stable key order)."""
     return {
@@ -198,7 +210,15 @@ def telemetry_to_dict(data: TelemetryData) -> dict[str, Any]:
 
 
 def telemetry_from_dict(data: dict[str, Any]) -> TelemetryData:
-    """Inverse of :func:`telemetry_to_dict`."""
+    """Inverse of :func:`telemetry_to_dict`.
+
+    A payload that is not an object, or one of whose tables is not,
+    raises ``TypeError``, so a damaged cache entry is quarantined.
+    """
+    if not isinstance(data, dict) or not all(
+        isinstance(data[name], dict) for name in _TELEMETRY_TABLES
+    ):
+        raise TypeError("telemetry payload or one of its tables is not a JSON object")
     return TelemetryData(
         interval=data["interval"],
         cycles=data["cycles"],

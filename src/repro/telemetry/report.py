@@ -24,7 +24,7 @@ from repro.specs.policy import policy_label
 from repro.telemetry.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.results import SimulationResult
+    from repro.core.results import RunSummary
     from repro.experiments.parallel import RunJob
 
 __all__ = ["REPORT_SCHEMA", "RunReport", "validate_report"]
@@ -82,7 +82,7 @@ class RunReport:
     def from_runs(
         cls,
         name: str,
-        runs: Sequence[tuple["RunJob", "SimulationResult"]],
+        runs: Sequence[tuple["RunJob", "RunSummary"]],
         workbench: dict[str, Any] | None = None,
         figure: dict[str, Any] | None = None,
         tracer: Tracer | None = None,

@@ -46,7 +46,7 @@ from repro.experiments.cache import job_key
 from repro.experiments.fig14 import spec_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.outcomes import ExecutionPolicy
-from repro.experiments.parallel import RunJob, chaos_active, execute_job
+from repro.experiments.parallel import RunJob, chaos_active, execute_job, simulate
 from repro.experiments.sweep import run_spec
 from repro.workloads.suite import get_kernel
 
@@ -86,7 +86,7 @@ def _job(clusters: int, policy, *, warm: bool = True, sim: str = "batched") -> R
 def _solo(job: RunJob):
     """``job`` run alone on a cold memo: the baseline every order must hit."""
     clear_trace_memo()
-    return execute_job(job)
+    return simulate(job)
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def test_any_partition_and_order_is_bit_identical(data, grid_jobs, solo_results)
     for position, i in enumerate(order):
         if position in cuts:
             clear_trace_memo()
-        result = execute_job(grid_jobs[i])
+        result = simulate(grid_jobs[i])
         assert results_identical(result, solo_results[i]), (
             f"job {grid_jobs[i].config.name}/{grid_jobs[i].policy} diverged "
             f"with cuts {sorted(cuts)} order {order}"
@@ -166,8 +166,8 @@ def test_repeat_group_is_bit_identical(grid_jobs, solo_results):
     """A second pass over the grid on the now-warm memo reproduces the
     first bit-for-bit: nothing accumulates in the shared state."""
     clear_trace_memo()
-    first = [execute_job(job) for job in grid_jobs]
-    second = [execute_job(job) for job in grid_jobs]
+    first = [simulate(job) for job in grid_jobs]
+    second = [simulate(job) for job in grid_jobs]
     for job, a, b, solo in zip(grid_jobs, first, second, solo_results):
         assert results_identical(a, b), f"{job.config.name}/{job.policy} drifted"
         assert results_identical(a, solo), f"{job.config.name}/{job.policy} != solo"
@@ -178,9 +178,9 @@ def test_member_alone_after_group_is_unperturbed(grid_jobs, solo_results):
     on the same, still-warm memo entry."""
     clear_trace_memo()
     for job in grid_jobs:
-        execute_job(job)
+        simulate(job)
     for job, solo in zip(grid_jobs, solo_results):
-        assert results_identical(execute_job(job), solo)
+        assert results_identical(simulate(job), solo)
 
 
 def test_event_and_batched_jobs_interleave_on_one_trace(grid_jobs, solo_results):
@@ -194,9 +194,9 @@ def test_event_and_batched_jobs_interleave_on_one_trace(grid_jobs, solo_results)
     event_solo = [_solo(job) for job in event_jobs]
     clear_trace_memo()
     for k, job in enumerate(grid_jobs):
-        assert results_identical(execute_job(job), solo_results[k])
+        assert results_identical(simulate(job), solo_results[k])
         event = event_jobs[k % len(event_jobs)]
-        assert results_identical(execute_job(event), event_solo[k % len(event_jobs)])
+        assert results_identical(simulate(event), event_solo[k % len(event_jobs)])
 
 
 def test_cold_jobs_match_event_backend():
@@ -205,8 +205,8 @@ def test_cold_jobs_match_event_backend():
     drift exists for cold measurements."""
     for clusters, policy in ((2, "focused"), (4, "l")):
         cold = _job(clusters, policy, warm=False)
-        batched = execute_job(cold)
-        event = execute_job(dataclasses.replace(cold, sim="event"))
+        batched = simulate(cold)
+        event = simulate(dataclasses.replace(cold, sim="event"))
         assert results_identical(batched, event), f"{clusters}cl {policy} cold"
 
 
@@ -269,7 +269,7 @@ def test_threads_share_one_memo_entry(vm_runs, grid_jobs, solo_results, monkeypa
     results: dict[int, object] = {}
 
     def run(index: int) -> None:
-        results[index] = execute_job(grid_jobs[index])
+        results[index] = simulate(grid_jobs[index])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grid_jobs))]
     interval = sys.getswitchinterval()

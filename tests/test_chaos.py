@@ -16,10 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import results_identical
 from repro.core.simulator import SimulationDeadlock, SimulationDiverged
 from repro.experiments import parallel
-from repro.experiments.cache import RunCache, job_key
+from repro.experiments.cache import CACHE_SCHEMA_VERSION, RunCache, job_key
 from repro.experiments.fig14 import spec_figure14
 from repro.experiments.harness import Workbench
 from repro.experiments.manifest import SweepManifest, default_manifest_dir
@@ -157,7 +156,7 @@ class TestSerialRetries:
         outcome = run_job_outcome(job, policy=ExecutionPolicy(), stats=stats)
         assert outcome.ok and outcome.attempts == 2
         assert stats.retries == 1
-        assert results_identical(outcome.result, clean)
+        assert outcome.result == clean
 
     def test_env_hang_honours_hang_seconds(self, monkeypatch):
         # A hang scheduled through REPRO_CHAOS sleeps the config's
@@ -181,7 +180,7 @@ class TestSerialRetries:
         bench2 = make_bench()
         outcome = bench2.outcome(spec, bench2.clustered(2), "l")
         assert outcome.ok and outcome.attempts == 2
-        assert results_identical(outcome.result, clean)
+        assert outcome.result == clean
         assert outcome.result.cycles > 0
 
     def test_exhausted_retries_yield_typed_failure(self):
@@ -256,7 +255,7 @@ class TestPoolChaos:
         assert bench.prefetch(jobs) == 2
         assert stats.pool_respawns >= 1
         for job, expected in zip(jobs, clean):
-            assert results_identical(bench.result_for(job), expected)
+            assert bench.result_for(job) == expected
 
     def test_job_timeout_kills_hung_worker_and_retries(self, monkeypatch):
         clean_bench = make_bench()
@@ -275,7 +274,7 @@ class TestPoolChaos:
         assert bench.prefetch(jobs) == 2
         assert bench.exec_stats.timeouts >= 1
         for job, expected in zip(jobs, clean):
-            assert results_identical(bench.result_for(job), expected)
+            assert bench.result_for(job) == expected
 
     def test_job_timeout_binds_a_lone_job(self, monkeypatch):
         # Under a job timeout even a single job runs in a killable pool
@@ -297,7 +296,7 @@ class TestPoolChaos:
         assert bench.prefetch([job], on_outcome=settled.append) == 1
         assert bench.exec_stats.timeouts == 1
         assert [(outcome.ok, outcome.attempts) for outcome in settled] == [(True, 2)]
-        assert results_identical(bench.result_for(job), clean)
+        assert bench.result_for(job) == clean
 
     def test_timeout_without_retries_reports_timeout_cell(self, monkeypatch):
         config = ChaosConfig(rules=(FaultRule(mode="hang"),), hang_seconds=20.0)
@@ -363,7 +362,7 @@ class TestCacheSelfHealing:
         )
         with pytest.warns(RuntimeWarning, match="quarantined"):
             recomputed = fresh.run(spec, fresh.clustered(2), "l")
-        assert results_identical(recomputed, original)
+        assert recomputed == original
         assert fresh.simulations_run == 1
         assert fresh_cache.quarantined == 1
         assert fresh_cache.stats()["quarantined"] == 1
@@ -373,10 +372,12 @@ class TestCacheSelfHealing:
         assert healed.load(victim) is not None
         assert healed.quarantined == 0
 
-    @pytest.mark.parametrize("damage", ["short column", "waiter past the end"])
+    @pytest.mark.parametrize("damage", ["short column", "counts"])
     def test_damaged_columns_quarantined_never_loaded_short(self, tmp_path, damage):
-        """An entry that is valid gzip JSON but whose record columns are
-        inconsistent is a miss and is quarantined, never a shorter hit."""
+        """An entry that is valid gzip JSON but whose summary disagrees with
+        its own instruction count is a miss and is quarantined, never a
+        shorter hit: a latency column one short, or per-PC counts that sum
+        past the end of the trace."""
         spec = get_kernel("gcc")
         cache = RunCache(tmp_path)
         bench = Workbench(instructions=INSTRUCTIONS, benchmarks=[spec], cache=cache)
@@ -384,17 +385,53 @@ class TestCacheSelfHealing:
         job = bench.job(spec, bench.clustered(2), "l")
         path = cache.path_for(job_key(job))
         payload = json.loads(gzip.decompress(path.read_bytes()))
-        columns = payload["result"]["records"]
+        summary = payload["result"]
         if damage == "short column":
-            columns["commit_time"].pop()
+            summary["latencies"].pop()
         else:
-            columns["waiters"][0].append(max(columns["index"]) + 1)
+            summary["pc_counts"][0][1] += 1
         path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
 
         fresh = RunCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert fresh.load(job) is None
         assert fresh.stats() == {"hits": 0, "misses": 1, "stores": 0, "quarantined": 1}
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["list", "string", "result list", "field dropped", "telemetry table"]
+    )
+    def test_wrongly_shaped_entry_quarantined(self, tmp_path, damage):
+        """Valid gzip JSON of the wrong shape is quarantined like any other
+        damage, never raised out of ``load``."""
+        spec = get_kernel("gcc")
+        cache = RunCache(tmp_path)
+        bench = Workbench(
+            instructions=INSTRUCTIONS,
+            benchmarks=[spec],
+            cache=cache,
+            metrics=damage == "telemetry table",
+        )
+        bench.run(spec, bench.clustered(2), "l")
+        job = bench.job(spec, bench.clustered(2), "l")
+        path = cache.path_for(job_key(job))
+        payload = json.loads(gzip.decompress(path.read_bytes()))
+        if damage == "field dropped":
+            del payload["result"]["consumer_stats"]
+        elif damage == "telemetry table":
+            payload["result"]["telemetry"]["interval_series"] = []
+        else:
+            payload = {
+                "list": [],
+                "string": "x",
+                "result list": {"schema_version": CACHE_SCHEMA_VERSION, "result": []},
+            }[damage]
+        path.write_bytes(gzip.compress(json.dumps(payload).encode("utf-8")))
+
+        fresh = RunCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert fresh.load(job) is None
+        assert fresh.quarantined == 1
         assert path.with_name(path.name + ".corrupt").exists()
 
     def test_quarantine_warns_only_once_per_cache(self, tmp_path):
@@ -614,4 +651,4 @@ class TestFaultScheduleIndependence:
             uninstall()
         for clean, chaotic in zip(baseline, outcomes):
             assert chaotic.ok
-            assert results_identical(clean.result, chaotic.result)
+            assert clean.result == chaotic.result

@@ -4,7 +4,7 @@ The event-driven :class:`~repro.core.simulator.ClusteredSimulator` must be
 *bit-identical* to :class:`~repro.core.reference.ReferenceSimulator` -- not
 approximately equal: every per-instruction timestamp, provenance enum,
 waiter edge, counter and the ILP profile must match, which is exactly what
-:func:`repro.core.serialize.results_identical` (canonical-JSON compare)
+:func:`repro.core.serialize.results_identical` (a record-by-record compare)
 checks.  The same contract binds the batched sweep engine
 (:func:`repro.core.batched.simulate_batched`) under a *matched* warm-up
 protocol: when both engines warm their predictors on the same
@@ -24,18 +24,21 @@ in engine timing).  The matrix covers:
 * hypothesis-driven (kernel, seed, length, policy, clusters) combinations,
   so every run of the suite explores traces the fixed matrix does not.
 
-A serialize round-trip is asserted along the way, so "identical" is also
-stable under persistence (the run cache stores exactly this form).
+A summary round-trip is asserted along the way: identical records give
+equal run summaries, and a summary survives
+the JSON form the run cache stores.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.summary import summarize
 from repro.core.batched import (
     ArrayPredictorState,
     TracePrecompute,
@@ -49,6 +52,7 @@ from repro.core.config import (
     monolithic_machine,
     slow_divider_machine,
 )
+from repro.core.instruction import InFlight
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import ClusteredSimulator
 from repro.core.serialize import (
@@ -196,17 +200,31 @@ def run_batched_matched(
     )
 
 
-def _rows(columns):
-    """Packed record columns as one dict per record, in trace order."""
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+def _slots(record: InFlight) -> dict:
+    """One record's slots, cross-record fields by trace index and in order."""
+    values = {name: getattr(record, name) for name in InFlight.__slots__}
+    values["waiters"] = [waiter.index for waiter in record.waiters]
+    values["forwarded_to_clusters"] = list(record.forwarded_to_clusters.items())
+    return values
+
+
+_TOP_LEVEL = (
+    "config",
+    "cycles",
+    "mispredicted",
+    "global_values",
+    "l1_hits",
+    "l1_misses",
+    "ilp_profile",
+    "steering_name",
+    "scheduler_name",
+)
 
 
 def assert_bit_identical(event, reference, context: str):
     __tracebackhide__ = True
     if not results_identical(event, reference):
-        want = result_to_dict(reference)
-        got = result_to_dict(event)
-        for w, g in zip(_rows(want["records"]), _rows(got["records"])):
+        for w, g in zip(map(_slots, reference.records), map(_slots, event.records)):
             if w != g:
                 diff = {k: (w[k], g[k]) for k in w if w[k] != g[k]}
                 pytest.fail(
@@ -214,10 +232,11 @@ def assert_bit_identical(event, reference, context: str):
                     f"{w['index']}: {diff}"
                 )
         top = {
-            k: (want[k], got[k])
-            for k in want
-            if k != "records" and want[k] != got[k]
+            k: (getattr(reference, k), getattr(event, k))
+            for k in _TOP_LEVEL
+            if getattr(reference, k) != getattr(event, k)
         }
+        top["instructions"] = (len(reference.records), len(event.records))
         pytest.fail(f"{context}: top-level divergence: {top}")
 
 
@@ -322,9 +341,10 @@ def test_fast_policy_rejects_unbatchable_stacks():
 def test_serialize_round_trip_preserves_identity(workloads):
     prepared = workloads("vpr")
     event, reference = run_both(prepared, _machine(4), "s")
-    revived = result_from_dict(result_to_dict(event))
-    assert results_identical(revived, event)
-    assert results_identical(revived, reference)
+    assert results_identical(event, reference)
+    summary = summarize(event)
+    revived = result_from_dict(json.loads(json.dumps(result_to_dict(summary))))
+    assert revived == summary == summarize(reference)
 
 
 def test_telemetry_does_not_perturb_identity(workloads):

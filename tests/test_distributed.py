@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import results_identical
 from repro.distwork import coordinator as coordinator_module
 from repro.distwork.coordinator import TaskBoard, TcpCoordinator
 from repro.distwork.protocol import (
@@ -44,6 +43,7 @@ from repro.distwork.protocol import (
     send_frame,
 )
 from repro.distwork.worker import (
+    EXIT_VERSION_MISMATCH,
     _Connection,
     execute_leased_job,
     main as worker_main,
@@ -250,7 +250,7 @@ class TestProtocol:
             peer.start()
             host, port = server.getsockname()[:2]
             argv = [f"{host}:{port}", "--no-cache", "--reconnect-window", "30"]
-            assert worker_main(argv) == 1
+            assert worker_main(argv) == EXIT_VERSION_MISMATCH
             peer.join(timeout=5)
             assert not peer.is_alive()
         err = capsys.readouterr().err
@@ -367,7 +367,7 @@ class TestSpoolHygiene:
         assert sum(counts2) == len(jobs_b)  # really executed, not adopted
         for job, outcome in zip(jobs_b, outcomes_b):
             assert outcome.ok and outcome.source == "run"
-            assert results_identical(outcome.result, execute_job(job))
+            assert outcome.result == execute_job(job)
 
     def test_settle_rejects_foreign_job_payload(self):
         bench = make_bench()
@@ -528,7 +528,7 @@ class TestTransportsMatchSerial:
             assert bench.prefetch(jobs) == len(jobs)
             for job, expected in zip(jobs, want):
                 got = bench.result_for(job)
-                assert got is not None and results_identical(expected, got)
+                assert got is not None and expected == got
             # Same transport, second batch: everything is already in the
             # workbench's memory cache, so nothing is even published.
             assert bench.prefetch(jobs) == 0
@@ -663,6 +663,69 @@ class TestSupervisor:
         )
         assert respawns == 3
         assert len(spawned) == 5  # 2 initial + 3 respawns
+
+    def test_version_refusal_stops_every_slot(self):
+        class Live(_FakeProc):
+            terminated = False
+
+            def terminate(self):
+                self.terminated = True
+                self.code = -signal.SIGTERM
+
+            def wait(self, timeout=None):
+                return self.code
+
+        live = Live(None)
+        procs = iter([_FakeProc(EXIT_VERSION_MISMATCH), live])
+        with pytest.raises(VersionMismatch, match="worker 0"):
+            run_supervisor(
+                2, lambda slot: next(procs), poll=0.005, respawn_delay=0.0, max_respawns=3
+            )
+        assert live.terminated
+
+    def test_supervised_worker_refused_by_version_is_not_respawned(self):
+        """A coordinator that welcomes every worker with version 1: the one
+        child exits on the mismatch, and the supervisor neither respawns it
+        nor reports success."""
+        stop = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(0.2)
+
+            def welcome_as_version_1() -> None:
+                while not stop.is_set():
+                    try:
+                        conn, _ = server.accept()
+                    except OSError:
+                        continue
+                    with conn:
+                        recv_frame(conn)
+                        send_frame(conn, {"op": "welcome", "version": 1, "heartbeat": 1.0})
+
+            peer = threading.Thread(target=welcome_as_version_1, daemon=True)
+            peer.start()
+            host, port = server.getsockname()[:2]
+            try:
+                done = subprocess.run(
+                    [
+                        sys.executable, "-m", "repro", "worker", f"{host}:{port}",
+                        "--no-cache", "--supervise", "1", "--max-respawns", "3",
+                        "--respawn-delay", "0.05", "--reconnect-window", "30",
+                    ],
+                    env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                    capture_output=True,
+                    text=True,
+                    timeout=120,
+                )
+            finally:
+                stop.set()
+                peer.join(timeout=5)
+        spawned = [
+            line for line in done.stdout.splitlines() if line.startswith("supervisor: worker")
+        ]
+        assert len(spawned) == 1, done.stdout
+        assert done.returncode == EXIT_VERSION_MISMATCH
+        assert "version 1" in done.stderr and "not respawning" in done.stderr
+        assert "supervisor done" not in done.stdout
 
     def test_sigkilled_worker_is_respawned_and_sweep_finishes(self, tmp_path):
         """SIGKILL a supervised worker mid-sweep: the supervisor respawns

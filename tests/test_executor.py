@@ -20,7 +20,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.serialize import results_identical
 from repro.experiments.batch import clear_trace_memo
 from repro.experiments.cache import job_key
 from repro.experiments.distributed import DistributedExecutor
@@ -123,7 +122,7 @@ class TestLocalPoolExecutor:
         # on_outcome fires on the calling thread, once per job.
         assert [tid for tid, _ in seen] == [threading.get_ident()] * len(jobs)
         for job, outcome in zip(jobs, outcomes):
-            assert results_identical(execute_job(job), outcome.result)
+            assert execute_job(job) == outcome.result
 
     def test_workbench_resolves_and_caches_executor(self):
         bench = make_bench()
@@ -178,7 +177,7 @@ class TestWhereJobsRun:
         serial = Workbench(instructions=INSTRUCTIONS, benchmarks=kernels)
         assert serial.prefetch(jobs) == len(jobs)
         for job in jobs:
-            assert results_identical(bench.result_for(job), serial.result_for(job))
+            assert bench.result_for(job) == serial.result_for(job)
 
     @pytest.mark.parametrize("route", ["job_timeout", "chaos"])
     def test_timeout_or_chaos_sends_batched_jobs_to_the_pool(
@@ -198,7 +197,7 @@ class TestWhereJobsRun:
         assert bench.prefetch(jobs) == len(jobs)
         assert sorted(pool_log.jobs, key=job_key) == sorted(jobs, key=job_key)
         for job in jobs:
-            assert results_identical(bench.result_for(job), execute_job(job))
+            assert bench.result_for(job) == execute_job(job)
 
     def test_mixed_plan_pools_only_event_jobs_and_keeps_order(self, pool_log):
         bench = make_bench()
@@ -215,7 +214,7 @@ class TestWhereJobsRun:
         # In-process jobs settle first, in submission order.
         assert settled[: len(batched)] == batched
         for job, outcome in zip(jobs, outcomes):
-            assert results_identical(outcome.unwrap(), execute_job(job))
+            assert outcome.unwrap() == execute_job(job)
 
 
 def set_chaos(monkeypatch, *rules, hang_seconds=30.0):
@@ -249,7 +248,7 @@ class TestLanes:
             jobs, policy=ExecutionPolicy(max_retries=0), stats=stats
         )
         assert (survived.job, survived.ok, survived.attempts) == (mcf, True, 1)
-        assert results_identical(survived.result, execute_job(mcf))
+        assert survived.result == execute_job(mcf)
         assert (crashed.job, crashed.ok, crashed.attempts) == (gcc, False, 1)
         assert crashed.failure.kind == "crash"
         assert stats.pool_respawns == 1
@@ -294,7 +293,7 @@ class TestLanes:
         assert sorted(settled, key=job_key) == sorted(jobs, key=job_key)
         assert stats.executed == len(jobs)
         for job, outcome in zip(jobs, outcomes):
-            assert results_identical(outcome.unwrap(), execute_job(job))
+            assert outcome.unwrap() == execute_job(job)
 
     def test_lanes_whose_children_die_together_each_respawn(self, monkeypatch):
         # Every first attempt kills its child, so each lane starts a new

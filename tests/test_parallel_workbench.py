@@ -13,7 +13,7 @@ from repro.core.serialize import result_to_dict, results_identical
 from repro.experiments.batch import clear_trace_memo
 from repro.experiments.cache import RunCache, job_key
 from repro.experiments.harness import POLICY_NAMES, Workbench
-from repro.experiments.parallel import dedupe_jobs, execute_job, execute_outcomes
+from repro.experiments.parallel import dedupe_jobs, execute_outcomes, simulate
 from repro.experiments.runner import main
 from repro.workloads.suite import get_kernel
 
@@ -54,7 +54,7 @@ class TestParallelMatchesSerial:
             spec = get_kernel(kernel)
             for policy in POLICY_NAMES:
                 parallel = bench.run(spec, bench.clustered(2), policy)
-                assert results_identical(serial_results[kernel, policy], parallel), (
+                assert serial_results[kernel, policy] == parallel, (
                     f"parallel result diverged for {kernel}/{policy}"
                 )
         # All runs came from the prefetch; none re-executed serially.
@@ -77,9 +77,9 @@ class TestParallelMatchesSerial:
         bench = Workbench(instructions=600, benchmarks=[get_kernel("vpr")])
         job = bench.job(get_kernel("vpr"), bench.clustered(4), "l")
         bench.prepare(get_kernel("vpr"))
-        with_prepared = execute_job(job)
+        with_prepared = simulate(job)
         clear_trace_memo()
-        regenerated = execute_job(job)
+        regenerated = simulate(job)
         assert results_identical(with_prepared, regenerated)
 
 
@@ -94,7 +94,7 @@ class TestRunCacheRoundTrip:
             cache.store(job, result)
             loaded = cache.load(job)
             assert loaded is not None
-            assert results_identical(result, loaded)
+            assert loaded == result
             assert loaded.cpi == result.cpi
             assert loaded.instructions == result.instructions
         assert cache.stores == len(serial_results)
@@ -164,7 +164,7 @@ class TestRunCacheRoundTrip:
             thread.join()
         monkeypatch.undo()
         assert errors == []
-        assert results_identical(cache.load(job), result)
+        assert cache.load(job) == result
         assert not list(tmp_path.rglob("*.tmp-*"))
 
 
@@ -182,7 +182,7 @@ class TestPersistentCacheAcrossWorkbenches:
         b = second.run(spec, second.clustered(4), "l")
         assert second.simulations_run == 0
         assert cache.hits == 1
-        assert results_identical(a, b)
+        assert a == b
 
     def test_prefetch_hits_disk_cache(self, tmp_path):
         spec = get_kernel("gcc")
@@ -213,7 +213,7 @@ class TestWarmKeyRegression:
         assert warm is not cold
         assert bench.simulations_run == 2
         # Warm-up training changes the predictors, hence the timing.
-        assert not results_identical(warm, cold)
+        assert warm != cold
 
     def test_disk_key_includes_warm(self):
         bench = Workbench(instructions=600, benchmarks=[get_kernel("gcc")])

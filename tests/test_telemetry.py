@@ -30,6 +30,7 @@ from repro.api import (
     execute_job,
     monolithic_machine,
     results_identical,
+    simulate,
     telemetry_from_dict,
     telemetry_to_dict,
     validate_report,
@@ -55,9 +56,9 @@ def _job(policy: str, clusters: int, metrics: bool, instructions: int = INSTRUCT
 
 @pytest.fixture(scope="module")
 def metrics_run():
-    """One metrics-on run shared by the payload tests."""
+    """One metrics-on run, records included, shared by the payload tests."""
     job = _job("l", 4, metrics=True)
-    return execute_job(job)
+    return simulate(job)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +72,8 @@ class TestTelemetryIdentity:
         [(c, p) for c, policies in BARS_BY_CLUSTER.items() for p in policies],
     )
     def test_figure14_matrix_bit_identical(self, clusters, policy):
-        on = execute_job(_job(policy, clusters, metrics=True, instructions=900))
-        off = execute_job(_job(policy, clusters, metrics=False, instructions=900))
+        on = simulate(_job(policy, clusters, metrics=True, instructions=900))
+        off = simulate(_job(policy, clusters, metrics=False, instructions=900))
         assert on.telemetry is not None
         assert off.telemetry is None
         assert on.cycles == off.cycles
@@ -209,7 +210,7 @@ class TestTelemetrySerialization:
         assert telemetry_to_dict(loaded.telemetry) == telemetry_to_dict(
             result.telemetry
         )
-        assert results_identical(loaded, result)
+        assert loaded == result
 
 
 # ---------------------------------------------------------------------------
