@@ -7,21 +7,10 @@ so the stacked bars sum to the run's normalized CPI exactly.
 
 from __future__ import annotations
 
-from repro.core.results import CpiBreakdown, SimulationResult
+from repro.core.results import FIGURE5_SEGMENTS, CpiBreakdown, SimulationResult
 from repro.criticality.critical_path import analyze_critical_path
 
 __all__ = ["FIGURE5_SEGMENTS", "CpiBreakdown", "cpi_breakdown"]
-
-# Display order of Figure 5's stack segments (bottom to top).
-FIGURE5_SEGMENTS = (
-    "br_mispredict",
-    "mem_latency",
-    "fetch",
-    "window",
-    "execute",
-    "contention",
-    "fwd_delay",
-)
 
 
 def cpi_breakdown(result: SimulationResult) -> CpiBreakdown:

@@ -32,9 +32,9 @@ construction:
   balance rules, stall-over-steer) and the inlined predictors replicate
   the saturating / probabilistic counters update-for-update, including
   the per-PC seeded RNG streams;
-* the chunked trainer's critical-path walk is ported control-flow-exact
-  (only the critical *set* is computed; the cycle breakdown the event
-  trainer also produces is dead weight for training).
+* the chunked trainer takes its critical sets from
+  :func:`~repro.criticality.critical_path.walk_columns`, the column form
+  of the event trainer's walk, over the run's live columns.
 
 Supported fast-path stacks: dependence or criticality steering (any
 configuration) with the oldest/critical/loc schedulers and the
@@ -55,15 +55,11 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.core.config import MachineConfig
-from repro.core.instruction import (
-    CommitReason,
-    DispatchReason,
-    InFlight,
-    SteerCause,
-)
+from repro.core.instruction import CommitReason, DispatchReason, SteerCause
 from repro.core.rename import Dependences, extract_dependences
-from repro.core.results import IlpProfile, SimulationResult
+from repro.core.results import IlpProfile, RunColumns, SimulationResult
 from repro.core.simulator import _PORT_AND_LATENCY, SimulationDiverged
+from repro.criticality.critical_path import walk_columns
 from repro.frontend.branch_predictor import (
     GshareBranchPredictor,
     annotate_mispredictions,
@@ -350,10 +346,6 @@ class ArrayPredictorState:
                 self.loc_hits[pid] += 1
 
 
-# Node kinds of the chunked trainer's backward walk, as small ints.
-_D, _E, _C, _E_ISSUE = 0, 1, 2, 3
-
-
 def simulate_batched(
     pre: TracePrecompute,
     config: MachineConfig,
@@ -362,17 +354,17 @@ def simulate_batched(
     live_training: bool = True,
     collect_ilp: bool = False,
     max_cycles: int | None = None,
-    materialize: bool = True,
     frozen_cache: dict | None = None,
-) -> SimulationResult | None:
+) -> SimulationResult:
     """One grid point over the shared precompute; SoA port of the event loop.
 
     ``predictors`` carries the warm state across the warm-up/measured
     pair exactly like a :class:`~repro.criticality.loc.PredictorSuite`
     does for the event backend; ``live_training=False`` freezes it (the
-    benchmark methodology).  ``materialize=False`` skips building the
-    :class:`InFlight` records and returns ``None`` -- warm-up runs only
-    exist for their predictor side effects.
+    benchmark methodology).  The result holds the run's columns
+    (:class:`~repro.core.results.RunColumns`); its
+    :class:`~repro.core.instruction.InFlight` records are built only if
+    a caller reads ``result.records``.
 
     ``frozen_cache`` (frozen runs only) memoizes the per-run constants a
     frozen predictor suite induces -- the sampled prediction/LoC columns
@@ -406,7 +398,7 @@ def simulate_batched(
     crit_fwd = [False] * total
     mem_extra = [0] * total
     # Pre-filled with base latencies: only loads rewrite their cell, and
-    # diverged runs raise before materializing, so unissued cells are
+    # diverged runs raise before returning, so unissued cells are
     # never observed.
     latency_col = list(pre.base_lat)
     pred_col = [False] * total
@@ -553,10 +545,36 @@ def simulate_batched(
             if frozen_cache is not None:
                 frozen_cache[scheduler] = prio
 
+    # The run's columns, handed to the result uncopied.  No column list
+    # is rebound from here on, so the chunked trainer's walk reads them
+    # live.
+    columns = RunColumns(
+        trace,
+        pre.dependences,
+        cluster=cluster_col,
+        dispatch_time=dispatch_t,
+        ready_time=ready_t,
+        issue_time=issue_t,
+        complete_time=complete_t,
+        commit_time=commit_t,
+        pending_deps=pending_col,
+        operand_avail=op_avail,
+        last_arriving_producer=last_arr,
+        critical_operand_forwarded=crit_fwd,
+        mem_latency_extra=mem_extra,
+        latency=latency_col,
+        predicted_critical=pred_col,
+        loc=loc_col,
+        dispatch_reason=dreason_col,
+        dispatch_pred=dpred_col,
+        steer_cause=scause_col,
+        commit_reason=creason_col,
+        forwarded_to_clusters=fwd_to,
+    )
+
     # Enum locals for the hot loop.
     completion = CommitReason.COMPLETION
     commit_order = CommitReason.COMMIT_ORDER
-    start_r = DispatchReason.START
     fetch_bw = DispatchReason.FETCH_BANDWIDTH
     fetch_redirect = DispatchReason.FETCH_REDIRECT
     rob_full = DispatchReason.ROB_FULL
@@ -619,50 +637,9 @@ def simulate_batched(
         return best
 
     def train_chunk(lo: int, hi: int) -> None:
-        # ChunkedCriticalityTrainer._train_chunk: the backward walk of
-        # analyze_critical_path, control-flow-exact, computing only the
-        # critical set (training never reads the cycle breakdown).
-        critical: set[int] = set()
-        idx = hi - 1
-        kind = _C
-        while True:
-            if kind != _C:
-                critical.add(idx)
-            if kind == _C:
-                if creason_col[idx] is commit_order and idx - 1 >= lo:
-                    idx -= 1
-                    continue
-                kind = _E
-            elif kind == _E:
-                kind = _E_ISSUE
-            elif kind == _E_ISSUE:
-                p = last_arr[idx]
-                if (
-                    p is not None
-                    and lo <= p < hi
-                    and op_avail[idx] == ready_t[idx]
-                    and op_avail[idx] > dispatch_t[idx] + 1
-                ):
-                    idx = p
-                    kind = _E
-                else:
-                    kind = _D
-            else:  # _D
-                reason = dreason_col[idx]
-                pv = dpred_col[idx]
-                if reason is start_r or pv is None or not lo <= pv < hi:
-                    break
-                if reason is fetch_bw:
-                    idx = pv
-                elif reason is fetch_redirect:
-                    idx = pv
-                    kind = _E
-                elif reason is rob_full:
-                    idx = pv
-                    kind = _C
-                else:  # CLUSTER_FULL / STEER_STALL
-                    idx = pv
-                    kind = _E_ISSUE
+        # ChunkedCriticalityTrainer._train_chunk: the critical set of the
+        # chunk's backward walk (training never reads the breakdown).
+        critical = walk_columns(columns, lo, hi).critical_indices
         # Inlined ArrayPredictorState.train over the chunk (binary
         # saturating counter and the LoC counter of the active mode).
         rngs = suite.rngs
@@ -1183,93 +1160,9 @@ def simulate_batched(
     if training and total - flush_ptr > 1:
         train_chunk(flush_ptr, total)
 
-    if not materialize:
-        return None
-
-    # ---- materialize the InFlight records ---------------------------
-    # One zip over all columns: the tuple unpack replaces 20 indexed
-    # loads per record (this loop is ~30% of a frozen run).
-    records = []
-    append = records.append
-    new = InFlight.__new__
-    i = 0
-    for (
-        instr,
-        deps,
-        cl,
-        dtv,
-        rtv,
-        itv,
-        ctv,
-        cmv,
-        pend,
-        oav,
-        lav,
-        cfv,
-        mev,
-        latv,
-        prv,
-        locv,
-        drv,
-        dpv,
-        scv,
-        crv,
-        fmap,
-    ) in zip(
-        trace,
-        pre.dependences,
-        cluster_col,
-        dispatch_t,
-        ready_t,
-        issue_t,
-        complete_t,
-        commit_t,
-        pending_col,
-        op_avail,
-        last_arr,
-        crit_fwd,
-        mem_extra,
-        latency_col,
-        pred_col,
-        loc_col,
-        dreason_col,
-        dpred_col,
-        scause_col,
-        creason_col,
-        fwd_to,
-    ):
-        rec = new(InFlight)
-        rec.instr = instr
-        rec.deps = deps
-        rec.index = i
-        rec.cluster = cl
-        rec.dispatch_time = dtv
-        rec.ready_time = rtv
-        rec.issue_time = itv
-        rec.complete_time = ctv
-        rec.commit_time = cmv
-        rec.pending_deps = pend
-        rec.operand_avail = oav
-        rec.last_arriving_producer = lav
-        rec.critical_operand_forwarded = cfv
-        rec.mem_latency_extra = mev
-        rec.latency = latv
-        rec.predicted_critical = prv
-        rec.loc = locv
-        rec.dispatch_reason = drv
-        rec.dispatch_pred = dpv
-        rec.steer_cause = scv
-        rec.commit_reason = crv
-        # Every producer's waiter list drains at its issue (all
-        # instructions issue), matching the event backend's end state.
-        rec.waiters = []
-        rec.forwarded_to_clusters = fmap if fmap is not None else {}
-        append(rec)
-        i += 1
-
     return SimulationResult(
         config=config,
-        records=records,
+        columns=columns,
         cycles=commit_t[total - 1] + 1,
         mispredicted=pre.mispredicted,
         global_values=global_values,

@@ -1,8 +1,8 @@
 """Simulation results.
 
 A :class:`SimulationResult` is everything one engine run produced: the
-aggregates plus the full per-instruction record stream that the
-criticality analyses consume.  It lives only in the process that ran the
+aggregates plus the per-instruction state, as records or as columns
+(:class:`RunColumns`).  It lives only in the process that ran the
 engine.  A :class:`RunSummary` is what the figures read from it -- the
 counters, the Figure 5 breakdown, the Figure 6 event classes, the exact
 LoC table, the Section 6 consumer statistics and the per-instruction
@@ -13,7 +13,8 @@ distributed wire carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import MachineConfig
 from repro.core.instruction import InFlight
@@ -58,51 +59,153 @@ class IlpProfile:
         return [(k, self.achieved(k)) for k in keys]
 
 
-@dataclass
-class SimulationResult:
-    """Everything a run produced."""
+# The InFlight slots a run's columns hold, one sequence each.  ``instr`` and
+# ``deps`` come from the trace, ``index`` is the position, and every run
+# ends with empty waiter lists, so those four are not columns.
+COLUMN_FIELDS = tuple(
+    name for name in InFlight.__slots__ if name not in ("instr", "deps", "index", "waiters")
+)
+_COLUMNS = attrgetter(*COLUMN_FIELDS)
 
-    config: MachineConfig
-    records: list[InFlight]
-    cycles: int
-    mispredicted: frozenset[int]
-    global_values: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
-    ilp_profile: IlpProfile | None = None
-    steering_name: str = ""
-    scheduler_name: str = ""
-    # Optional observability payload (set by the experiment layer when a
-    # job requests metrics).  Purely observational: two runs differing
-    # only in telemetry have identical timing, and the differential
-    # identity check (`results_identical`) ignores this field.
-    telemetry: TelemetryData | None = None
+
+class RunColumns:
+    """One run's per-instruction state as columns indexed by trace position.
+
+    One sequence per :data:`COLUMN_FIELDS` slot of
+    :class:`~repro.core.instruction.InFlight`, plus the ``trace`` and its
+    ``dependences``.  A ``forwarded_to_clusters`` cell may be ``None`` for
+    a value that was never forwarded.  A column may be shared with the
+    engine's per-trace state (the batched engine's frozen prediction
+    columns), so callers read columns and never write them.
+    """
+
+    __slots__ = ("trace", "dependences", *COLUMN_FIELDS)
+
+    def __init__(self, trace: Sequence, dependences: Sequence, **columns: Sequence):
+        self.trace = trace
+        self.dependences = dependences
+        for name in COLUMN_FIELDS:
+            setattr(self, name, columns[name])
+
+    @classmethod
+    def from_records(cls, records: Sequence[InFlight]) -> "RunColumns":
+        """Transpose ``records``, one field at a time (the cells are shared).
+
+        Field by field, the transposition holds no per-record tuples, so
+        it needs no memory beyond the columns it returns.
+        """
+        return cls(
+            list(map(attrgetter("instr"), records)),
+            list(map(attrgetter("deps"), records)),
+            **{name: list(map(attrgetter(name), records)) for name in COLUMN_FIELDS},
+        )
+
+    def to_records(self) -> list[InFlight]:
+        """One :class:`~repro.core.instruction.InFlight` per position.
+
+        Every producer's waiter list drains at its issue, so a finished
+        run's records have empty ``waiters``.
+        """
+        records = []
+        for instr, deps, *values in zip(self.trace, self.dependences, *_COLUMNS(self)):
+            record = InFlight(instr, deps)
+            for name, value in zip(COLUMN_FIELDS, values):
+                setattr(record, name, value)
+            if record.forwarded_to_clusters is None:
+                record.forwarded_to_clusters = {}
+            records.append(record)
+        return records
+
+
+class SimulationResult:
+    """Everything a run produced.
+
+    The per-instruction state has two views: ``records``, one
+    :class:`~repro.core.instruction.InFlight` per instruction, and
+    ``columns``, one :class:`RunColumns`.  An engine passes one of them;
+    the first read of the other builds it from the first.  The event and
+    reference engines pass records and the batched engine passes its
+    columns, so a batched run that is only summarized builds no record.
+    """
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        cycles: int,
+        mispredicted: frozenset[int],
+        *,
+        records: list[InFlight] | None = None,
+        columns: RunColumns | None = None,
+        global_values: int = 0,
+        l1_hits: int = 0,
+        l1_misses: int = 0,
+        ilp_profile: IlpProfile | None = None,
+        steering_name: str = "",
+        scheduler_name: str = "",
+        telemetry: TelemetryData | None = None,
+    ):
+        if (records is None) == (columns is None):
+            raise ValueError("pass exactly one of records and columns")
+        self.config = config
+        self.cycles = cycles
+        self.mispredicted = mispredicted
+        self._records = records
+        self._columns = columns
+        self.global_values = global_values
+        self.l1_hits = l1_hits
+        self.l1_misses = l1_misses
+        self.ilp_profile = ilp_profile
+        self.steering_name = steering_name
+        self.scheduler_name = scheduler_name
+        # Optional observability payload (set by the experiment layer when
+        # a job requests metrics).  Purely observational: two runs
+        # differing only in telemetry have identical timing, and the
+        # differential identity check (`results_identical`) ignores it.
+        self.telemetry = telemetry
+        # The per-trace tables the summary reads
+        # (:class:`repro.analysis.summary.TraceTables`), attached from the
+        # trace memo by the experiment layer; built from the run when absent.
+        self.trace_tables = None
+
+    @property
+    def records(self) -> list[InFlight]:
+        """One record per instruction, built from the columns on first read."""
+        if self._records is None:
+            self._records = self._columns.to_records()
+        return self._records
+
+    @property
+    def columns(self) -> RunColumns:
+        """The run's columns, transposed from the records on first read."""
+        if self._columns is None:
+            self._columns = RunColumns.from_records(self._records)
+        return self._columns
 
     @property
     def instructions(self) -> int:
         """Number of committed instructions."""
-        return len(self.records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self._columns.latency)
 
     @property
     def cpi(self) -> float:
         """Cycles per committed instruction."""
-        if not self.records:
-            return 0.0
-        return self.cycles / len(self.records)
+        instructions = self.instructions
+        return self.cycles / instructions if instructions else 0.0
 
     @property
     def ipc(self) -> float:
         """Committed instructions per cycle."""
         if self.cycles == 0:
             return 0.0
-        return len(self.records) / self.cycles
+        return self.instructions / self.cycles
 
     @property
     def global_values_per_instruction(self) -> float:
         """Cross-cluster value transfers per instruction (Section 2.1 stat)."""
-        if not self.records:
-            return 0.0
-        return self.global_values / len(self.records)
+        instructions = self.instructions
+        return self.global_values / instructions if instructions else 0.0
 
     @property
     def total_contention_cycles(self) -> int:
@@ -110,9 +213,23 @@ class SimulationResult:
         return sum(r.contention_cycles for r in self.records)
 
 
+# Display order of Figure 5's stack segments (bottom to top).
+FIGURE5_SEGMENTS = (
+    "br_mispredict",
+    "mem_latency",
+    "fetch",
+    "window",
+    "execute",
+    "contention",
+    "fwd_delay",
+)
+
+
 @dataclass(frozen=True)
 class CpiBreakdown:
     """One run's CPI split across critical-path categories (Figure 5).
+
+    ``segments`` holds one value per :data:`FIGURE5_SEGMENTS` category.
 
     ``attributed_cycles`` is what the critical-path walk attributed; the
     difference to the run's cycles is folded into ``execute``.
@@ -176,10 +293,11 @@ class RunSummary:
 
     Its one per-instruction field is ``latencies``; gzipped, a summary is
     about 1 KB at 300 instructions and 1.6 KB at 12 000.  Built by
-    :func:`repro.analysis.summary.summarize` in the process that holds
-    the records.  Every analysis uses one set of chunked critical flags
-    (:func:`~repro.criticality.critical_path.critical_flags`);
-    ``breakdown`` keeps the whole-run walk of
+    :func:`repro.analysis.summary.summarize` from the run's columns, in
+    the process that ran the engine.  Every analysis uses one set of
+    chunked critical flags, as
+    :func:`~repro.criticality.critical_path.critical_flags` computes them;
+    ``breakdown`` is the whole-run walk of
     :func:`~repro.analysis.breakdown.cpi_breakdown`.  ``loc_by_pc`` and
     ``pc_counts`` share their keys, in first-seen order.
     """

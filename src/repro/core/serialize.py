@@ -28,6 +28,7 @@ from typing import Any
 from repro.core.config import ClusterConfig, MachineConfig
 from repro.core.instruction import InFlight
 from repro.core.results import (
+    FIGURE5_SEGMENTS,
     ConsumerCriticalityStats,
     ContentionEvents,
     CpiBreakdown,
@@ -216,7 +217,9 @@ def result_from_dict(data: dict[str, Any]) -> RunSummary:
 
     Raises ``KeyError`` for a missing field, ``TypeError`` for a field of
     the wrong JSON type and ``ValueError`` for per-instruction columns that
-    disagree with ``instructions``, so a damaged payload never loads.
+    disagree with ``instructions``, segments other than Figure 5's, or a
+    LoC table whose PCs are not ``pc_counts``', so a damaged payload never
+    loads.
     """
     scalars = {name: _checked(data[name], kind, name) for name, kind in _SCALARS.items()}
     latencies = tuple(_counts(data["latencies"], "latencies"))
@@ -235,6 +238,11 @@ def result_from_dict(data: dict[str, Any]) -> RunSummary:
     segments = _checked(data["segments"], dict, "segments")
     for value in segments.values():
         _checked(value, float, "segments")
+    if segments.keys() != set(FIGURE5_SEGMENTS):
+        raise ValueError(f"summary segments {sorted(segments)} are not Figure 5's")
+    loc_by_pc = _int_keyed(data["loc_by_pc"], float, "loc_by_pc")
+    if loc_by_pc.keys() != pc_counts.keys():
+        raise ValueError("summary loc_by_pc and pc_counts hold different PCs")
     stats = _checked(data["consumer_stats"], dict, "consumer_stats")
     telemetry = None
     if data.get("telemetry") is not None:
@@ -256,7 +264,7 @@ def result_from_dict(data: dict[str, Any]) -> RunSummary:
             ContentionEvents(*_counts(data["contention_events"], "contention_events")),
             ForwardingEvents(*_counts(data["forwarding_events"], "forwarding_events")),
         ),
-        loc_by_pc=_int_keyed(data["loc_by_pc"], float, "loc_by_pc"),
+        loc_by_pc=loc_by_pc,
         pc_counts=pc_counts,
         consumer_stats=ConsumerCriticalityStats(
             statically_unique_fraction=_checked(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.instruction import CommitReason, DispatchReason, InFlight
+from repro.core.results import RunColumns
 
 # Categories of Figure 5, plus 'commit' (in-order commit bandwidth), which
 # the paper folds into its 'execute' segment.
@@ -170,6 +171,125 @@ def analyze_critical_path(
             raise AssertionError(f"unknown node kind {kind}")
 
     return result
+
+
+_COMMIT_ORDER = CommitReason.COMMIT_ORDER
+_START = DispatchReason.START
+_FETCH_BANDWIDTH = DispatchReason.FETCH_BANDWIDTH
+_FETCH_REDIRECT = DispatchReason.FETCH_REDIRECT
+_ROB_FULL = DispatchReason.ROB_FULL
+# Node kinds of the column walk, as small ints.
+_D, _E, _C, _E_ISSUE = 0, 1, 2, 3
+
+
+def walk_columns(columns: RunColumns, lo: int, hi: int) -> CriticalPathResult:
+    """:func:`analyze_critical_path` of positions ``[lo, hi)``, over columns.
+
+    The same backward walk, step for step, returning the same result as
+    ``analyze_critical_path(records[lo:hi])``.  The columns may belong to
+    a run still in progress, as long as every position below ``hi`` has
+    committed.
+    """
+    if not lo < hi:
+        raise ValueError("no records to analyze")
+    creason = columns.commit_reason
+    dreason = columns.dispatch_reason
+    dpred = columns.dispatch_pred
+    last_arr = columns.last_arriving_producer
+    op_avail = columns.operand_avail
+    crit_fwd = columns.critical_operand_forwarded
+    dispatch_t = columns.dispatch_time
+    ready_t = columns.ready_time
+    issue_t = columns.issue_time
+    complete_t = columns.complete_time
+    commit_t = columns.commit_time
+    latency = columns.latency
+    mem_extra = columns.mem_latency_extra
+    fwd_delay = contention = execute = window = fetch = 0
+    mem_latency = br_mispredict = commit = 0
+    critical: set[int] = set()
+    add = critical.add
+    idx = hi - 1
+    kind = _C
+    time = commit_t[idx]
+    while True:
+        if kind == _C:
+            if creason[idx] is _COMMIT_ORDER and idx - 1 >= lo:
+                idx -= 1
+                prev = commit_t[idx]
+                commit += time - prev
+                time = prev
+                continue
+            complete = complete_t[idx]
+            commit += time - complete
+            kind, time = _E, complete
+            continue
+        add(idx)
+        if kind == _E:
+            extra = mem_extra[idx]
+            mem_latency += extra
+            execute += latency[idx] - extra
+            kind, time = _E_ISSUE, issue_t[idx]
+        elif kind == _E_ISSUE:
+            ready = ready_t[idx]
+            contention += time - ready
+            time = ready
+            p = last_arr[idx]
+            avail = op_avail[idx]
+            if (
+                p is not None
+                and lo <= p < hi
+                and avail == ready
+                and avail > dispatch_t[idx] + 1
+            ):
+                if crit_fwd[idx]:
+                    fwd_delay += avail - complete_t[p]
+                idx = p
+                kind, time = _E, complete_t[p]
+            else:
+                # Ready as soon as it entered the window: dispatch-bound.
+                dispatch = dispatch_t[idx]
+                execute += time - dispatch
+                kind, time = _D, dispatch
+        else:  # _D
+            reason = dreason[idx]
+            pv = dpred[idx]
+            if reason is _START or pv is None or not lo <= pv < hi:
+                if lo == 0:
+                    fetch += time
+                break
+            idx = pv
+            if reason is _FETCH_BANDWIDTH:
+                prev = dispatch_t[pv]
+                fetch += time - prev
+            elif reason is _FETCH_REDIRECT:
+                prev = complete_t[pv]
+                br_mispredict += time - prev
+                kind = _E
+            elif reason is _ROB_FULL:
+                prev = commit_t[pv]
+                window += time - prev
+                kind = _C
+            else:  # CLUSTER_FULL or STEER_STALL: gated by a freeing issue.
+                prev = issue_t[pv]
+                window += time - prev
+                kind = _E_ISSUE
+            time = prev
+    last_commit = commit_t[hi - 1]
+    return CriticalPathResult(
+        breakdown={
+            "fwd_delay": fwd_delay,
+            "contention": contention,
+            "execute": execute,
+            "window": window,
+            "fetch": fetch,
+            "mem_latency": mem_latency,
+            "br_mispredict": br_mispredict,
+            "commit": commit,
+        },
+        critical_indices=critical,
+        total_cycles=last_commit if lo == 0 else last_commit - dispatch_t[lo],
+    )
 
 
 def critical_flags(

@@ -11,10 +11,11 @@ point, so this module makes each of them happen once per trace:
   PreparedWorkload` every backend runs on (:func:`prepared_trace`) and,
   built on first use, the batched engine's
   :class:`~repro.core.batched.TracePrecompute`, the canonical warm suite
-  and its frozen-priority cache.  Every job reads it, so consecutive
-  jobs on one trace in one process share it however they are executed
-  -- serially, in-process next to a worker pool, or on a distributed
-  worker;
+  and its frozen-priority cache, and the summary's
+  :class:`~repro.analysis.summary.TraceTables` (:func:`trace_tables`).
+  Every job reads it, so consecutive jobs on one trace in one process
+  share it however they are executed -- serially, in-process next to a
+  worker pool, or on a distributed worker;
 * :func:`fast_policy` lowers a :class:`~repro.specs.PolicySpec` to the
   flags the inlined engine branches on, or ``None`` when the stack is
   outside the fast path (readiness steering, token predictors,
@@ -57,6 +58,7 @@ from collections import OrderedDict
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.analysis.summary import TraceTables
 from repro.core.batched import (
     ArrayPredictorState,
     BatchedPolicy,
@@ -84,6 +86,7 @@ __all__ = [
     "execute_batched_job",
     "fast_policy",
     "prepared_trace",
+    "trace_tables",
     "warm_suite",
 ]
 
@@ -203,7 +206,6 @@ def warm_suite(
         predictors=suite,
         live_training=True,
         max_cycles=_max_cycles(pre),
-        materialize=False,
     )
     return suite
 
@@ -251,6 +253,16 @@ def prepared_trace(
         (kernel, instructions, seed, loc_mode),
         "prepared",
         lambda: prepare_workload(kernel, instructions, seed),
+    )
+
+
+def trace_tables(kernel: str, instructions: int, seed: int, loc_mode: str) -> TraceTables:
+    """The summary's per-trace tables (:func:`batch_key` order), from the memo."""
+    prepared = prepared_trace(kernel, instructions, seed, loc_mode)
+    return _memoized(
+        (kernel, instructions, seed, loc_mode),
+        "tables",
+        lambda: TraceTables(prepared.trace, prepared.dependences),
     )
 
 

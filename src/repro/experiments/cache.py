@@ -38,6 +38,7 @@ import os
 import pathlib
 import time
 import warnings
+import weakref
 import zlib
 from typing import TYPE_CHECKING
 
@@ -136,6 +137,18 @@ class RunCache:
         self.stores = 0
         self.quarantined = 0
         self._warned_corrupt = False
+        # job -> job_key(job), so the load, the store and a sweep's
+        # manifest hash each job once.  Weak keys: an entry lives as long
+        # as its job does, so a long-lived cache (the service's) does not
+        # hold every job it ever saw.
+        self._keys: weakref.WeakKeyDictionary[RunJob, str] = weakref.WeakKeyDictionary()
+
+    def key_for(self, job: RunJob) -> str:
+        """:func:`job_key` of ``job``, computed once per job."""
+        key = self._keys.get(job)
+        if key is None:
+            key = self._keys[job] = job_key(job)
+        return key
 
     def path_for(self, key: str) -> pathlib.Path:
         """Entry location (two-level fan-out keeps directories small)."""
@@ -157,7 +170,7 @@ class RunCache:
         return result
 
     def _load(self, job: RunJob) -> RunSummary | None:
-        path = self.path_for(job_key(job))
+        path = self.path_for(self.key_for(job))
         try:
             payload = json.loads(gzip.decompress(path.read_bytes()))
             if not isinstance(payload, dict):
@@ -214,9 +227,8 @@ class RunCache:
             self._store(job, result)
 
     def _store(self, job: RunJob, result: RunSummary) -> None:
-        key = job_key(job)
+        key = self.key_for(job)
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -237,13 +249,18 @@ class RunCache:
         # leaves at worst an orphaned ``.tmp-<pid>-<thread>`` file (skipped
         # by lookups), never a truncated entry under a real key, and two
         # threads storing one key never share a temp file.
-        atomic_write(path, gzip.compress(data, compresslevel=GZIP_LEVEL))
+        data = gzip.compress(data, compresslevel=GZIP_LEVEL)
+        try:
+            atomic_write(path, data)
+        except FileNotFoundError:  # the first entry under this fan-out prefix
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(path, data)
         self.stores += 1
 
     # ------------------------------------------------------------------
     def contains(self, job: RunJob) -> bool:
         """Whether an entry exists on disk (does not count as a hit/miss)."""
-        return self.path_for(job_key(job)).exists()
+        return self.path_for(self.key_for(job)).exists()
 
     def stats(self) -> dict[str, int]:
         """Counters snapshot, for CLI reporting and tests."""

@@ -23,9 +23,9 @@ only the fault-injection harness, never the simulation.
 
 :func:`execute_job` returns the run's summary, computed by
 :func:`~repro.analysis.summary.summarize` right after the engine, in the
-process that holds the records; :func:`simulate` is its engine half and
-returns the full :class:`~repro.core.results.SimulationResult`, which
-never leaves the process.
+process that ran it; :func:`simulate` is its engine half and returns the
+full :class:`~repro.core.results.SimulationResult`, which never leaves
+the process.
 
 Fault tolerance (:func:`execute_outcomes`, over
 :class:`~repro.experiments.executor.LocalPoolExecutor`): every job runs
@@ -153,10 +153,13 @@ def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> RunSummary:
     """Run one simulation and return its :class:`~repro.core.results.RunSummary`.
 
     The engine runs as in :func:`simulate`; the analyses the figures read
-    run right after it, here, where the records are (a ``summarize`` span
-    under ``tracer``).
+    run right after it, here, on the run's columns and its trace's memoized
+    tables (a ``summarize`` span under ``tracer``).
     """
+    from repro.experiments.batch import batch_key, trace_tables
+
     result = simulate(job, tracer=tracer)
+    result.trace_tables = trace_tables(*batch_key(job))
     with _stage_span(tracer, job, "summarize"):
         return summarize(result)
 

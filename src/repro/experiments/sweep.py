@@ -72,6 +72,11 @@ def _verify_figure_jobs(spec: ExperimentSpec, bench: Workbench) -> None:
         )
 
 
+def _job_key(bench: Workbench):
+    """:func:`job_key`, through the run cache's per-job memo when there is one."""
+    return bench.cache.key_for if bench.cache is not None else job_key
+
+
 def _prefetch_checkpointed(
     bench: Workbench, jobs: list, manifest: SweepManifest | None
 ) -> None:
@@ -86,8 +91,10 @@ def _prefetch_checkpointed(
         bench.prefetch(jobs)
         return
 
+    key = _job_key(bench)
+
     def record(outcome: JobOutcome) -> None:
-        manifest.record(job_key(outcome.job), outcome)
+        manifest.record(key(outcome.job), outcome)
         manifest.save()
 
     try:
@@ -173,7 +180,8 @@ def _run_spec(
             )
         annotate_failures(figure, failed)
     if manifest is not None:
-        resumed = manifest.resumed & {job_key(job) for job in jobs}
+        key = _job_key(bench)
+        resumed = manifest.resumed & {key(job) for job in jobs}
         if resumed:
             figure.notes.append(
                 f"resumed: {len(resumed)} of {len(jobs)} job(s) already "

@@ -57,6 +57,13 @@ class MachineState:
         self._check_addr(word_addr)
         self.memory[word_addr] = value
 
+    def load_memory(self, words: Mapping[int, float]) -> None:
+        """``write_mem`` of every word, with the bounds checked once."""
+        if words and not (0 <= min(words) and max(words) < self.memory_words):
+            for word_addr in words:
+                self._check_addr(word_addr)
+        self.memory.update(words)
+
     def _check_addr(self, word_addr: int) -> None:
         if not 0 <= word_addr < self.memory_words:
             raise ExecutionError(f"memory access out of range: word {word_addr}")
@@ -106,8 +113,7 @@ def iter_trace(
         raise ValueError("max_instructions must be positive")
     state = MachineState(memory_words=memory_words)
     if initial_memory:
-        for addr, value in initial_memory.items():
-            state.write_mem(addr, value)
+        state.load_memory(initial_memory)
     if initial_regs:
         for reg, value in initial_regs.items():
             state.write_reg(reg, value)

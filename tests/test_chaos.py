@@ -399,11 +399,22 @@ class TestCacheSelfHealing:
         assert path.with_name(path.name + ".corrupt").exists()
 
     @pytest.mark.parametrize(
-        "damage", ["list", "string", "result list", "field dropped", "telemetry table"]
+        "damage",
+        [
+            "list",
+            "string",
+            "result list",
+            "field dropped",
+            "telemetry table",
+            "segment dropped",
+            "loc pc dropped",
+        ],
     )
     def test_wrongly_shaped_entry_quarantined(self, tmp_path, damage):
         """Valid gzip JSON of the wrong shape is quarantined like any other
-        damage, never raised out of ``load``."""
+        damage, never raised out of ``load``: a Figure 5 segment missing,
+        or a LoC table short of one of ``pc_counts``' PCs, would otherwise
+        load and crash figure5 or figure8."""
         spec = get_kernel("gcc")
         cache = RunCache(tmp_path)
         bench = Workbench(
@@ -418,6 +429,10 @@ class TestCacheSelfHealing:
         payload = json.loads(gzip.decompress(path.read_bytes()))
         if damage == "field dropped":
             del payload["result"]["consumer_stats"]
+        elif damage == "segment dropped":
+            del payload["result"]["segments"]["execute"]
+        elif damage == "loc pc dropped":
+            payload["result"]["loc_by_pc"].pop()
         elif damage == "telemetry table":
             payload["result"]["telemetry"]["interval_series"] = []
         else:

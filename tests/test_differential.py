@@ -187,7 +187,6 @@ def run_batched_matched(
             predictors=suite,
             live_training=True,
             max_cycles=max_cycles,
-            materialize=False,
         )
     return simulate_batched(
         pre,

@@ -127,6 +127,20 @@ class TestMemory:
         )
         assert trace[-1].pc == 5
 
+    def test_out_of_range_initial_word_faults_naming_it(self):
+        for word in (-1, 1 << 16):
+            memory = {0: 1, word: 5, 7: 2}
+            with pytest.raises(ExecutionError, match=f"word {word}$"):
+                trace_of("halt", memory=memory)
+
+    def test_initial_memory_loads_every_word(self):
+        from repro.vm.interpreter import MachineState
+
+        state = MachineState(memory_words=16)
+        state.load_memory({3: 1.5, 0: 7, 15: -2})
+        assert state.memory == {3: 1.5, 0: 7, 15: -2}
+        assert list(state.memory) == [3, 0, 15]
+
     def test_out_of_range_access_faults(self):
         with pytest.raises(ExecutionError):
             trace_of("li r2, 200000\nld r3, 0(r2)\nhalt")
