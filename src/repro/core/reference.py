@@ -329,6 +329,9 @@ class ReferenceSimulator:
 
         if self.trainer is not None:
             self.trainer.finish()
+        # Drops the policy's view of this machine: a finished run is
+        # freed by reference counting, not by the cyclic collector.
+        self.steering.reset()
         return SimulationResult(
             config=config,
             records=records,

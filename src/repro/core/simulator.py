@@ -706,6 +706,9 @@ class ClusteredSimulator:
 
         if trainer is not None:
             trainer.finish()
+        # Drops the policy's view of this machine: a finished run is
+        # freed by reference counting, not by the cyclic collector.
+        steering.reset()
         return SimulationResult(
             config=config,
             records=records,

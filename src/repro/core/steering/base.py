@@ -83,11 +83,14 @@ class SteeringPolicy:
     # Cached (machine, records, occupancy, window_size) fast-path view,
     # re-resolved whenever the machine object changes and dropped on
     # reset() -- both simulators reset the policy before rebinding their
-    # per-run state lists, so a stale view can never leak across runs.
+    # per-run state lists, so a stale view can never leak across runs,
+    # and again when a run ends, so the view (which holds the machine,
+    # which holds this policy) never keeps a finished run alive until
+    # the cyclic collector runs.
     _mview: tuple | None = None
 
     def reset(self) -> None:
-        """Clear per-run state (called once per simulation)."""
+        """Clear per-run state (called before and after each simulation)."""
         self._mview = None
 
     def describe(self) -> dict:

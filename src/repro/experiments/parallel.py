@@ -165,7 +165,7 @@ def execute_job(job: RunJob, *, tracer: "Tracer | None" = None) -> RunSummary:
 
 
 def simulate(job: RunJob, *, tracer: "Tracer | None" = None) -> SimulationResult:
-    """Run one simulation on its trace's memoized state, records and all.
+    """Run one simulation on its trace's memoized state; the full result.
 
     The trace comes from this process's trace memo
     (:func:`repro.experiments.batch.prepared_trace`), generated on a miss.

@@ -1,10 +1,15 @@
 """Core timing-simulator behaviour on hand-built dataflow patterns."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import clustered_machine, monolithic_machine
 from repro.core.instruction import DispatchReason
+from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import ClusteredSimulator, SimulationDeadlock
+from repro.core.steering.dependence import CriticalitySteering, DependenceSteering
 from repro.core.steering.simple import LoadBalanceSteering, ModuloSteering
 from repro.frontend.fetch import FrontEndConfig
 from repro.workloads.patterns import (
@@ -160,6 +165,25 @@ class TestGuards:
         )
         clusters = {rec.cluster for rec in result.records}
         assert len(clusters) == 8
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("engine", [ClusteredSimulator, ReferenceSimulator])
+    @pytest.mark.parametrize("steering", [DependenceSteering, CriticalitySteering])
+    def test_finished_run_freed_by_reference_counting(self, engine, steering):
+        # The steering policy caches a view that holds the machine; a run
+        # that left it in place would wait for the cyclic collector, with
+        # every record of the run.
+        gc.disable()
+        try:
+            sim = engine(clustered_machine(2), steering=steering(), max_cycles=200_000)
+            result = sim.run(parallel_chains(4, 20), mispredicted=frozenset())
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+            assert result.instructions == 80
+        finally:
+            gc.enable()
 
 
 class TestFrontEndIntegration:
